@@ -24,6 +24,7 @@ Benchmark-internal; nothing in ``src/`` imports this.
 from __future__ import annotations
 
 import sys
+from collections import deque
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
@@ -569,6 +570,132 @@ def _policy_pending_total(self):
     return sum(len(q) for q in self._queues)
 
 
+def _policy_pop_queue(self, walker_id):
+    request = self._queues[walker_id].popleft()
+    self.fwa.release_slot(walker_id)
+    return request
+
+
+# ----------------------------------------------------------------------
+# PR-4 walk bookkeeping, verbatim: one flat overflow deque re-offered in
+# full on every completion, and interleave snapshots from pool-wide
+# running sums with a per-walker sweep for partitioned candidate sets.
+# The shipping subsystem keeps neither, so the wrapped constructor adds
+# the state these bodies use.
+# ----------------------------------------------------------------------
+_shipping_pws_init = PageWalkSubsystem.__init__
+
+
+def _pws_init(self, *args, **kwargs):
+    _shipping_pws_init(self, *args, **kwargs)
+    self._overflow = deque()
+    self._starts_sum_total = 0
+    self._starts_sum_by_tenant = {}
+
+
+def _pws_other_starts_on(self, walkers, tenant_id):
+    """Service starts by other tenants on the given walkers so far."""
+    if len(walkers) == len(self._starts_total):
+        # Candidate ids are distinct, so a full-length set is the
+        # whole pool and the running sums answer in O(1).
+        return self._starts_sum_total - self._starts_sum_by_tenant.get(
+            tenant_id, 0
+        )
+    return sum(
+        self._starts_total[w] - self._starts_by_tenant[w].get(tenant_id, 0)
+        for w in walkers
+    )
+
+
+def _pws_note_service_start(self, walker, request):
+    tenant = request.tenant_id
+    # Interleaving: other-tenant walks that entered service, on the
+    # walkers this request was entitled to, while it waited.
+    interleaved = (
+        self._other_starts_on(request._candidate_walkers, tenant)
+        - request._other_service_snapshot
+    )
+    acc = self._interleave_a.get(tenant)
+    if acc is None:
+        acc = self._interleave_a[tenant] = self.sim.stats.accumulator(
+            f"{self.name}.interleave.tenant{tenant}"
+        )
+    acc.add(interleaved)
+    self._starts_total[walker.id] += 1
+    by_tenant = self._starts_by_tenant[walker.id]
+    by_tenant[tenant] = by_tenant.get(tenant, 0) + 1
+    self._starts_sum_total += 1
+    sums = self._starts_sum_by_tenant
+    sums[tenant] = sums.get(tenant, 0) + 1
+    if self.tracer is not None:
+        kind = "walk.steal" if request.stolen else "walk.start"
+        self.tracer.emit(self.sim.now, kind, walk=request.id,
+                         tenant=tenant, walker=walker.id,
+                         waited=request.queueing_latency,
+                         interleaved=interleaved)
+    qlat = self._queue_latency_a.get(tenant)
+    if qlat is None:
+        qlat = self._queue_latency_a[tenant] = self.sim.stats.accumulator(
+            f"{self.name}.queue_latency.tenant{tenant}"
+        )
+    qlat.add(request.queueing_latency)
+    if request.stolen:
+        stolen = self._stolen_c.get(tenant)
+        if stolen is None:
+            stolen = self._stolen_c[tenant] = self.sim.stats.counter(
+                f"{self.name}.stolen.tenant{tenant}"
+            )
+        stolen.inc()
+    self._update_busy(tenant, +1)
+    if self.auditor is not None:
+        self.auditor.check_component(self)
+
+
+def _pws_note_completion(self, walker, request):
+    tenant = request.tenant_id
+    completed = self._completed_c.get(tenant)
+    if completed is None:
+        completed = self._completed_c[tenant] = self.sim.stats.counter(
+            f"{self.name}.completed.tenant{tenant}"
+        )
+    completed.inc()
+    wlat = self._walk_latency_a.get(tenant)
+    if wlat is None:
+        wlat = self._walk_latency_a[tenant] = self.sim.stats.accumulator(
+            f"{self.name}.walk_latency.tenant{tenant}"
+        )
+    wlat.add(request.total_latency)
+    mem = self._mem_accesses_a
+    if mem is None:
+        mem = self._mem_accesses_a = self.sim.stats.accumulator(
+            f"{self.name}.mem_accesses"
+        )
+    mem.add(request.memory_accesses)
+    self._update_busy(tenant, -1)
+    self._inflight.pop((tenant, request.vpn), None)
+    if self.tracer is not None:
+        self.tracer.emit(self.sim.now, "walk.complete", walk=request.id,
+                         tenant=tenant, walker=walker.id,
+                         latency=request.total_latency,
+                         accesses=request.memory_accesses)
+    self.policy.on_complete(walker.id, request)
+    # Replay overflow before re-dispatching: completions free queue
+    # slots.  The whole buffer is scanned (FIFO order preserved among
+    # the remainder) because under partitioned queues one tenant's
+    # full queues must not head-of-line block another tenant's walks.
+    if self._overflow:
+        still_held = deque()
+        for pending in self._overflow:
+            if not self.policy.on_arrival(pending):
+                still_held.append(pending)
+        self._overflow = still_held
+    for callback in request.callbacks:
+        callback(request)
+    self._dispatch_idle_walkers()
+    if self.auditor is not None:
+        self.auditor.check_component(self)
+
+
 # ----------------------------------------------------------------------
 # Pre-fold walk-service hot path, verbatim: the shipping bodies were
 # rewritten alongside the fold rungs (radix walk-address memo, inlined
@@ -719,7 +846,11 @@ _PATCHES = [
     (Cache, "access", _cache_access),
     (PageWalkSubsystem, "_try_dispatch", _pws_try_dispatch),
     (PageWalkSubsystem, "_dispatch_idle_walkers", _pws_dispatch_idle_walkers),
+    (PageWalkSubsystem, "__init__", _pws_init),
     (PageWalkSubsystem, "request_walk", _pws_request_walk),
+    (PageWalkSubsystem, "_other_starts_on", _pws_other_starts_on),
+    (PageWalkSubsystem, "note_service_start", _pws_note_service_start),
+    (PageWalkSubsystem, "note_completion", _pws_note_completion),
     (Walker, "start", _walker_start),
     (Walker, "_issue_level", _walker_issue_level),
     (PageTable, "walk_addresses", _pt_walk_addresses),
@@ -731,6 +862,7 @@ _PATCHES = [
     (PartitionedWalkPolicy, "_dequeue_for_tenant", _policy_dequeue_for_tenant),
     (PartitionedWalkPolicy, "queued_for", _policy_queued_for),
     (PartitionedWalkPolicy, "pending_total", _policy_pending_total),
+    (PartitionedWalkPolicy, "_pop_queue", _policy_pop_queue),
     (Interconnect, "access", _noc_access),
     (Dram, "access", _dram_access),
     (Tlb, "lookup", _tlb_lookup),

@@ -222,6 +222,16 @@ def _pwc_fill(self, tenant_id, vpn):
         self._insert((tenant_id, depth, self.layout.prefix(vpn, depth)))
 
 
+_shipping_pws_init = PageWalkSubsystem.__init__
+
+
+def _pws_init(self, *args, **kwargs):
+    _shipping_pws_init(self, *args, **kwargs)
+    # The seed request_walk/note_completion keep every refused walk in
+    # one flat deque and re-offer all of it on each completion.
+    self._overflow = deque()
+
+
 def _pws_request_walk(self, tenant_id, vpn, on_done):
     key = (tenant_id, vpn)
     inflight = self._inflight.get(key)
@@ -323,6 +333,12 @@ def _policy_queued_for(self, tenant_id):
 
 def _policy_pending_total(self):
     return sum(len(q) for q in self._queues)
+
+
+def _policy_pop_queue(self, walker_id):
+    request = self._queues[walker_id].popleft()
+    self.fwa.release_slot(walker_id)
+    return request
 
 
 def _pws_note_service_start(self, walker, request):
@@ -580,6 +596,7 @@ _PATCHES = [
     (PageTable, "walk_addresses", _pt_walk_addresses),
     (PageWalkCache, "probe", _pwc_probe),
     (PageWalkCache, "fill", _pwc_fill),
+    (PageWalkSubsystem, "__init__", _pws_init),
     (PageWalkSubsystem, "request_walk", _pws_request_walk),
     (PageWalkSubsystem, "_other_starts_on", _pws_other_starts_on),
     (PageWalkSubsystem, "_dispatch_idle_walkers", _pws_dispatch_idle_walkers),
@@ -589,6 +606,7 @@ _PATCHES = [
     (PartitionedWalkPolicy, "_dequeue_for_tenant", _policy_dequeue_for_tenant),
     (PartitionedWalkPolicy, "queued_for", _policy_queued_for),
     (PartitionedWalkPolicy, "pending_total", _policy_pending_total),
+    (PartitionedWalkPolicy, "_pop_queue", _policy_pop_queue),
     (PageWalkSubsystem, "note_service_start", _pws_note_service_start),
     (PageWalkSubsystem, "note_completion", _pws_note_completion),
     (PageWalkSubsystem, "_update_busy", _pws_update_busy),

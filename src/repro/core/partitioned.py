@@ -52,6 +52,9 @@ class PartitionedWalkPolicy(WalkSchedulingPolicy):
         self.twm = TenantWalkerMap(max_tenants, num_walkers, queue_entries)
         self.wtm = WalkerTenantMap(num_walkers, max_tenants)
         self._queues: List[Deque[WalkRequest]] = [deque() for _ in range(num_walkers)]
+        #: running total of len(q) over ``_queues``, so pending_total()
+        #: is O(1) on the per-walk paths that poll it
+        self._pending = 0
         self._tenants: List[int] = []
         if tenant_ids:
             self.on_tenant_set_changed(tenant_ids)
@@ -102,6 +105,7 @@ class PartitionedWalkPolicy(WalkSchedulingPolicy):
         if best_free == 0:
             return False  # all owned queues full: per-tenant back-pressure
         self._queues[best].append(request)
+        self._pending += 1
         self.fwa.consume_slot(best)
         self.twm.inc_pend(tenant)
         self._note_arrival(request)
@@ -151,6 +155,7 @@ class PartitionedWalkPolicy(WalkSchedulingPolicy):
 
     def _pop_queue(self, walker_id: int) -> WalkRequest:
         request = self._queues[walker_id].popleft()
+        self._pending -= 1
         self.fwa.release_slot(walker_id)
         return request
 
@@ -218,10 +223,7 @@ class PartitionedWalkPolicy(WalkSchedulingPolicy):
         return self.queued_for(tenant_id)
 
     def pending_total(self) -> int:
-        total = 0
-        for q in self._queues:
-            total += len(q)
-        return total
+        return self._pending
 
     def queue_occupancy(self, walker_id: int) -> float:
         return len(self._queues[walker_id]) / self.per_walker_queue
@@ -236,9 +238,12 @@ class PartitionedWalkPolicy(WalkSchedulingPolicy):
         Used by the policy tests and by the runtime integrity auditor
         (``repro.integrity``): FWA free-slot counts must mirror the
         per-walker queues, and each tenant's PEND_WALKS counter must be
-        non-negative and cover at least its queued walks (pend also
-        counts walks in dispatch or in service, so it may exceed the
-        queue depth but never undercut it).
+        non-negative and cover at least its queued walks, in whichever
+        queues they sit — after a repartition a tenant's walks can wait
+        in queues another tenant now owns (pend also counts walks in
+        dispatch or in service, so it may exceed the queue depth but
+        never undercut it).  The running pending counter
+        behind :meth:`pending_total` must equal the queued walks.
         """
         for w in range(self.num_walkers):
             expected_free = self.per_walker_queue - len(self._queues[w])
@@ -246,9 +251,18 @@ class PartitionedWalkPolicy(WalkSchedulingPolicy):
                 raise AssertionError(
                     f"FWA[{w}]={self.fwa.free_slots(w)} != {expected_free}"
                 )
+        queued_by_tenant: Dict[int, int] = {}
+        for q in self._queues:
+            for request in q:
+                t = request.tenant_id
+                queued_by_tenant[t] = queued_by_tenant.get(t, 0) + 1
+        queued_total = sum(queued_by_tenant.values())
+        if self._pending != queued_total:
+            raise AssertionError(f"pending counter {self._pending} != "
+                                 f"queued walks {queued_total}")
         for tenant in self._tenants:
             pend = self.twm.pend_walks(tenant)
-            queued = self.queued_for(tenant)
+            queued = queued_by_tenant.get(tenant, 0)
             if pend < 0:
                 raise AssertionError(
                     f"PEND_WALKS[{tenant}]={pend} is negative")

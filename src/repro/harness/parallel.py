@@ -55,12 +55,14 @@ from __future__ import annotations
 
 import heapq
 import os
+import signal
 import time
 import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_ready
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.config import GpuConfig
@@ -304,6 +306,22 @@ def expected_cost(job: Job, cache: Optional[ResultCache] = None) -> float:
     return footprint * job.scale * _FOOTPRINT_COST_PER_BYTE
 
 
+def _reset_worker_signals() -> None:
+    """Pool-worker initializer: default SIGTERM/SIGINT dispositions.
+
+    A forked worker inherits whatever handlers the parent had installed
+    at fork time — ``repro serve``'s drain handler, for one, does not
+    exit — so a supervisor's ``terminate()`` could be swallowed.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+def _new_executor(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers,
+                               initializer=_reset_worker_signals)
+
+
 class WorkerPool:
     """A persistent process pool reused across :func:`run_jobs` calls.
 
@@ -322,7 +340,7 @@ class WorkerPool:
     @property
     def executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            self._executor = _new_executor(self.workers)
         return self._executor
 
     def shutdown(self) -> None:
@@ -343,6 +361,8 @@ class WorkerPool:
         if self._executor is None:
             return
         executor, self._executor = self._executor, None
+        # shutdown() drops the executor's reference to this thread.
+        manager = getattr(executor, "_executor_manager_thread", None)
         # ProcessPoolExecutor has no public "terminate the workers" API;
         # reaching into ``_processes`` is the accepted escape hatch.
         processes = list(getattr(executor, "_processes", {}).values())
@@ -353,33 +373,60 @@ class WorkerPool:
                 pass
         # Reap what we killed: an unjoined terminated child stays a
         # zombie until the parent waits on it, and a chaos run respawns
-        # pools repeatedly — leaking one zombie per respawn.  The join is
-        # bounded (terminate can race an uninterruptible state); anything
-        # that survives the shared deadline is logged and abandoned.
-        deadline = time.monotonic() + 5.0
-        stragglers = 0
-        for process in processes:
+        # pools repeatedly — leaking one zombie per respawn.  Workers run
+        # with default SIGTERM, but one signalled before its initializer
+        # ran may still hold an inherited handler, so whatever survives
+        # a bounded join is SIGKILLed and joined again.  Only a process
+        # stuck in an uninterruptible state outlives that; it is logged
+        # and abandoned.
+        stragglers = _join_all(processes, 2.0)
+        for process in stragglers:
             try:
-                process.join(max(0.0, deadline - time.monotonic()))
-                if process.is_alive():
-                    stragglers += 1
+                process.kill()
             except Exception:
                 pass
+        stragglers = _join_all(stragglers, 5.0)
         if stragglers:
             warnings.warn(
-                f"WorkerPool.kill: {stragglers} worker process(es) "
-                "survived terminate + bounded join; abandoning them",
+                f"WorkerPool.kill: {len(stragglers)} worker process(es) "
+                "survived SIGKILL + bounded join; abandoning them",
                 RuntimeWarning, stacklevel=2)
         try:
             executor.shutdown(wait=False, cancel_futures=True)
         except Exception:
             pass
+        # The executor's management thread joins the same workers, and
+        # whichever thread's waitpid loses the race leaves exitcode unset
+        # until the winner publishes it: wait for that thread to finish,
+        # so every reaped worker reports its exit code on return.
+        if manager is not None:
+            manager.join(5.0)
 
     def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, *_exc) -> None:
         self.shutdown()
+
+
+def _join_all(processes, timeout: float) -> list:
+    """Join ``processes`` against one shared deadline; return those still
+    running.
+
+    A worker whose sentinel is ready has exited even when ``is_alive()``
+    says otherwise: the executor's management thread may have reaped it
+    first, and then this thread's waitpid fails with ECHILD.
+    """
+    deadline = time.monotonic() + timeout
+    running = []
+    for process in processes:
+        try:
+            process.join(max(0.0, deadline - time.monotonic()))
+            if process.is_alive() and not wait_ready([process.sentinel], 0):
+                running.append(process)
+        except Exception:
+            pass
+    return running
 
 
 def _drain_dynamic(executor: Executor, pending: Sequence[Job],
@@ -753,8 +800,8 @@ def run_jobs(jobs: Sequence[Job],
                     label, result = _execute(job, validate)
                     on_result(label, result, job)
             else:
-                executor = pool.executor if pool is not None else (
-                    ProcessPoolExecutor(max_workers=workers))
+                executor = (pool.executor if pool is not None
+                            else _new_executor(workers))
                 try:
                     if chunksize is not None and chunksize > 1:
                         _drain_batched(executor, pending, chunksize,

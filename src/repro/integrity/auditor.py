@@ -15,6 +15,9 @@ not hold.  The registered invariants mirror the paper's accounting:
   free-slot counters must mirror the per-walker queues and each
   tenant's PEND_WALKS counter must cover its queued walks
   (``PartitionedWalkPolicy.check_invariants``);
+* **walk-path bookkeeping** — every interleave tally equals the
+  per-walker sweep over its candidate set, and every held (refused)
+  walk sits in its own tenant's FIFO in ascending id order;
 * **PWC / TLB bounds** — resident entries never exceed capacity, and
   per-tenant TLB residency is non-negative and sums to the total;
 * **monotonic time / counters** — ``sim.now`` never moves backwards,
@@ -148,6 +151,32 @@ def _subsystem_probes(auditor: Auditor, pws) -> None:
             return "policy pending_total is negative"
         return None
 
+    def interleave_tallies() -> Optional[str]:
+        for walkers, tally in pws._tallies.items():
+            total = 0
+            by_tenant: Dict[int, int] = {}
+            for w in walkers:
+                total += pws._starts_total[w]
+                for t, n in pws._starts_by_tenant[w].items():
+                    by_tenant[t] = by_tenant.get(t, 0) + n
+            if tally != [total, by_tenant]:
+                return (f"interleave tally {walkers} is {tally}, the "
+                        f"per-walker sweep gives {[total, by_tenant]}")
+        return None
+
+    def held_queues() -> Optional[str]:
+        for t, held in pws._held.items():
+            previous = -1
+            for request in held:
+                if request.tenant_id != t:
+                    return (f"held queue of tenant {t} holds walk "
+                            f"#{request.id} of tenant {request.tenant_id}")
+                if request.id <= previous:
+                    return (f"held queue of tenant {t} is out of id order "
+                            f"at walk #{request.id}")
+                previous = request.id
+        return None
+
     def pwc_bounds() -> Optional[str]:
         resident = len(pws.pwc)
         if resident > pws.pwc.entries:
@@ -159,6 +188,9 @@ def _subsystem_probes(auditor: Auditor, pws) -> None:
                      component=pws)
     auditor.register(f"{name}.occupancy", occupancy, component=pws)
     auditor.register(f"{name}.policy", policy_invariants, component=pws)
+    auditor.register(f"{name}.interleave", interleave_tallies,
+                     component=pws)
+    auditor.register(f"{name}.held", held_queues, component=pws)
     auditor.register(f"{name}.pwc", pwc_bounds, component=pws)
 
 

@@ -91,8 +91,7 @@ class ProgressWatchdog:
         for pws in self.subsystems:
             for t in pws.page_tables:
                 depths[t] = (depths.get(t, 0) + pws.policy.pending_for(t)
-                             + sum(1 for r in pws._overflow
-                                   if r.tenant_id == t))
+                             + pws.held_for(t))
         return depths
 
     # ------------------------------------------------------------------

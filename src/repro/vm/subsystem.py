@@ -4,8 +4,9 @@ This is the mechanism half of the paper's design (Figure 1 right-hand
 side and Figure 4).  It owns the pool of :class:`~repro.vm.walker.Walker`
 objects and the shared :class:`~repro.vm.pwc.PageWalkCache`, merges
 duplicate in-flight walks (L2-TLB-MSHR behaviour), applies back-pressure
-when the policy's queue space is exhausted, and records every statistic
-the evaluation needs:
+when the policy's queue space is exhausted (refused walks wait in
+per-tenant FIFOs and are replayed on completions), and records every
+statistic the evaluation needs:
 
 * per-tenant walk counts, queueing latency and total walk latency,
 * the **interleaving** metric of Tables III and V — how many other-tenant
@@ -58,8 +59,10 @@ class PageWalkSubsystem:
         self.page_tables: Dict[int, PageTable] = {}
         # (tenant, vpn) -> in-flight request, for miss merging
         self._inflight: Dict[tuple, WalkRequest] = {}
-        # Requests the policy refused (queue full), replayed on completions.
-        self._overflow: Deque[WalkRequest] = deque()
+        # Requests the policy refused (queue full), one FIFO per tenant,
+        # replayed on completions.  Ids grow with arrival, so each deque
+        # is in ascending id order.
+        self._held: Dict[int, Deque[WalkRequest]] = {}
         # Interleaving bookkeeping: per-walker service starts, split into
         # a total and a per-tenant count so "other-tenant starts on a set
         # of walkers" is a cheap difference.
@@ -67,12 +70,15 @@ class PageWalkSubsystem:
         self._starts_by_tenant: List[Dict[int, int]] = [
             {} for _ in range(num_walkers)
         ]
-        # Pool-wide running sums of the same counts: when a request's
-        # candidate set is the whole pool (shared-queue policies, i.e.
-        # the common case), _other_starts_on is one subtraction instead
-        # of a per-walker sweep.
-        self._starts_sum_total = 0
-        self._starts_sum_by_tenant: Dict[int, int] = {}
+        # Running sums of the same counts over each distinct candidate
+        # set, ``[total, {tenant: n}]``, so _other_starts_on is one
+        # subtraction.  A tally is registered the first time its set is
+        # asked about (seeded from the per-walker counts), and every
+        # walker lists the tallies that contain it.
+        self._tallies: Dict[tuple, list] = {}
+        self._walker_tallies: List[List[list]] = [
+            [] for _ in range(num_walkers)
+        ]
         self._busy_by_tenant: Dict[int, int] = {}
         self._walker_denom = max(1, num_walkers)
         # Hot-path stat objects, resolved through the registry once and
@@ -172,24 +178,30 @@ class PageWalkSubsystem:
                     f"{self.name}.overflow"
                 )
             overflow.value += 1
-            self._overflow.append(request)
+            self._hold(request)
             if self.tracer is not None:
                 self.tracer.emit(self.sim.now, "walk.overflow",
                                  walk=request.id, tenant=tenant_id)
         return request
 
-    def _other_starts_on(self, walkers, tenant_id: int) -> int:
+    def _other_starts_on(self, walkers: tuple, tenant_id: int) -> int:
         """Service starts by other tenants on the given walkers so far."""
-        if len(walkers) == len(self._starts_total):
-            # Candidate ids are distinct, so a full-length set is the
-            # whole pool and the running sums answer in O(1).
-            return self._starts_sum_total - self._starts_sum_by_tenant.get(
-                tenant_id, 0
-            )
-        return sum(
-            self._starts_total[w] - self._starts_by_tenant[w].get(tenant_id, 0)
-            for w in walkers
-        )
+        tally = self._tallies.get(walkers)
+        if tally is None:
+            tally = self._register_tally(walkers)
+        return tally[0] - tally[1].get(tenant_id, 0)
+
+    def _register_tally(self, walkers: tuple) -> list:
+        total = 0
+        by_tenant: Dict[int, int] = {}
+        for w in walkers:
+            total += self._starts_total[w]
+            for t, n in self._starts_by_tenant[w].items():
+                by_tenant[t] = by_tenant.get(t, 0) + n
+        tally = self._tallies[walkers] = [total, by_tenant]
+        for w in walkers:
+            self._walker_tallies[w].append(tally)
+        return tally
 
     # ------------------------------------------------------------------
     # Walker lifecycle callbacks
@@ -242,9 +254,10 @@ class PageWalkSubsystem:
         self._starts_total[walker.id] += 1
         by_tenant = self._starts_by_tenant[walker.id]
         by_tenant[tenant] = by_tenant.get(tenant, 0) + 1
-        self._starts_sum_total += 1
-        sums = self._starts_sum_by_tenant
-        sums[tenant] = sums.get(tenant, 0) + 1
+        for tally in self._walker_tallies[walker.id]:
+            tally[0] += 1
+            counts = tally[1]
+            counts[tenant] = counts.get(tenant, 0) + 1
         if self.tracer is not None:
             kind = "walk.steal" if request.stolen else "walk.start"
             self.tracer.emit(self.sim.now, kind, walk=request.id,
@@ -296,21 +309,47 @@ class PageWalkSubsystem:
                              latency=request.total_latency,
                              accesses=request.memory_accesses)
         self.policy.on_complete(walker.id, request)
-        # Replay overflow before re-dispatching: completions free queue
-        # slots.  The whole buffer is scanned (FIFO order preserved among
-        # the remainder) because under partitioned queues one tenant's
-        # full queues must not head-of-line block another tenant's walks.
-        if self._overflow:
-            still_held = deque()
-            for pending in self._overflow:
-                if not self.policy.on_arrival(pending):
-                    still_held.append(pending)
-            self._overflow = still_held
+        # Replay held walks before re-dispatching: completions free
+        # queue slots.
+        self._replay_held()
         for callback in request.callbacks:
             callback(request)
         self._dispatch_idle_walkers()
         if self.auditor is not None:
             self.auditor.check_component(self)
+
+    def _hold(self, request: WalkRequest) -> None:
+        """Keep a refused walk in its tenant's FIFO for replay."""
+        held = self._held.get(request.tenant_id)
+        if held is None:
+            held = self._held[request.tenant_id] = deque()
+        held.append(request)
+
+    def _replay_held(self) -> None:
+        """Re-offer held walks to the policy, oldest first.
+
+        The tenants' FIFOs are merged by request id, i.e. in global
+        arrival order, and a tenant leaves the merge at its first
+        refusal.  Nothing in a replay frees queue space, and a refusal
+        depends only on the refused tenant's space (its owned queues,
+        or the shared FIFO being full), so the rest of that tenant's
+        FIFO would be refused too.  The replay therefore accepts
+        exactly the walks a re-offer of every held walk would, in the
+        same order — which also keeps DWS++ epoch boundaries on the
+        same arrival — without re-offering the refused remainder.  A
+        tenant leaving the merge never stops the others, so one
+        tenant's full queues do not block another tenant's held walks.
+        """
+        active = {owner: held for owner, held in self._held.items() if held}
+        on_arrival = self.policy.on_arrival
+        while active:
+            owner = min(active, key=lambda t: active[t][0].id)
+            held = active[owner]
+            if on_arrival(held[0]):
+                held.popleft()
+                if held:
+                    continue
+            del active[owner]
 
     def _update_busy(self, tenant_id: int, delta: int) -> None:
         level = self._busy_by_tenant.get(tenant_id, 0) + delta
@@ -338,7 +377,12 @@ class PageWalkSubsystem:
 
     @property
     def overflowed_walks(self) -> int:
-        return len(self._overflow)
+        return sum(len(held) for held in self._held.values())
+
+    def held_for(self, tenant_id: int) -> int:
+        """Walks of a tenant the policy refused, held for replay."""
+        held = self._held.get(tenant_id)
+        return len(held) if held is not None else 0
 
     def busy_walkers(self) -> int:
         return sum(1 for w in self.walkers if w.busy)

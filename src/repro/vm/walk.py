@@ -82,7 +82,10 @@ class WalkSchedulingPolicy:
     * :meth:`on_arrival` when a new walk request reaches the subsystem —
       the policy queues it (returning ``True``) or refuses it because its
       queue space is exhausted (``False``; the subsystem then holds it in
-      an overflow buffer and retries on the next completion).
+      its tenant's FIFO and retries on the next completion).  A refusal
+      must have no side effects, and an acceptance must never free
+      queue space for any tenant: the subsystem's replay stops offering
+      a tenant's held walks at that tenant's first refusal.
     * :meth:`select` when walker ``walker_id`` is free — the policy
       dequeues and returns the request that walker should service next,
       or ``None`` if it must idle.

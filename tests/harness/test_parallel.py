@@ -1,5 +1,8 @@
 """Tests for the parallel batch runner."""
 
+import signal
+import warnings
+
 import pytest
 
 import repro.harness.parallel as parallel_module
@@ -16,6 +19,26 @@ from repro.harness.parallel import (
 from repro.harness.result_cache import ResultCache, cost_key, job_key
 
 SCALE = 0.05
+
+
+def _ignore_sigterm():
+    """Pool job: make this worker deaf to SIGTERM."""
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    return True
+
+
+def _worker_sigterm_disposition():
+    return signal.getsignal(signal.SIGTERM)
+
+
+def _kill_and_check_reaped(pool, processes):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pool.kill()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    for process in processes:
+        assert not process.is_alive()
+        assert process.exitcode is not None
 
 
 def tiny_job(label, pair="HS.MM", policy="baseline", seed=0,
@@ -213,6 +236,37 @@ class TestWorkerPool:
         for process in processes:
             assert not process.is_alive()
             assert process.exitcode is not None
+
+    def test_kill_reaps_workers_forked_under_a_nonfatal_sigterm_handler(
+            self):
+        # `repro serve` installs a drain handler that does not exit; pool
+        # workers forked under it must still die on the supervisor's kill.
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        pool = WorkerPool(2)
+        try:
+            run_jobs([tiny_job("a"), tiny_job("b", pair="FFT.HS")],
+                     workers=2, pool=pool)
+            processes = list(pool.executor._processes.values())
+            disposition = pool.executor.submit(
+                _worker_sigterm_disposition).result()
+        except (OSError, PermissionError):
+            pytest.skip("process creation not permitted in this environment")
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert processes
+        assert disposition == signal.SIG_DFL
+        _kill_and_check_reaped(pool, processes)
+
+    def test_kill_escalates_to_sigkill(self):
+        pool = WorkerPool(1)
+        try:
+            assert pool.executor.submit(_ignore_sigterm).result()
+            processes = list(pool.executor._processes.values())
+        except (OSError, PermissionError):
+            pytest.skip("process creation not permitted in this environment")
+        assert len(processes) == 1
+        _kill_and_check_reaped(pool, processes)
+        assert processes[0].exitcode == -signal.SIGKILL
 
     def test_kill_then_reuse_respawns_fresh_pool(self):
         pool = WorkerPool(2)
