@@ -15,7 +15,7 @@ process, which is the only honest way to compare them.
 
 Every patched method is behaviourally identical to its optimised
 replacement — the benchmark asserts the PR-4 and seed sides fire the
-same event count and that the folded engine's stats snapshot is
+same event count and that the shipping engine's stats snapshot is
 byte-identical — so the ratios isolate cost, not behaviour.
 
 Benchmark-internal; nothing in ``src/`` imports this.
@@ -30,8 +30,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 import repro.tenancy.manager as manager_module
-from repro.engine.calendar import DEFAULT_WINDOW
-from repro.engine.event import _FREE_LIST_MAX, Event
+from repro.engine.event import Event
 from repro.engine.simulator import SimulationError, Simulator
 from repro.gpu.gpu import Gpu
 from repro.gpu.sm import Sm
@@ -53,6 +52,10 @@ from repro.vm.walker import Walker
 # ----------------------------------------------------------------------
 # PR-4 event kernel, verbatim: Event-only calendar + recycling queue
 # ----------------------------------------------------------------------
+#: Ring span in cycles and free-list cap of this reference kernel.
+DEFAULT_WINDOW = 4096
+_FREE_LIST_MAX = 4096
+
 class Pr4CalendarQueue:
     """The PR-4 ``CalendarQueue``: Event objects only, no raw entries."""
 
@@ -506,20 +509,6 @@ def _sm_issue_mem(self, warp, op):
                                op.is_write, one_done)
 
 
-def _pws_try_dispatch(self, walker):
-    # Pre-fold body: no walk-fold hook — the reference must dispatch
-    # every walk through the event path.
-    request = self.policy.select(walker.id)
-    if request is None:
-        return
-    if self.dispatch_latency:
-        walker.reserved = True
-        self.sim.post_after(self.dispatch_latency, self._start_reserved,
-                            walker, request)
-    else:
-        walker.start(request)
-
-
 def _pws_dispatch_idle_walkers(self):
     # PR-4 body: scan every idle walker, no pending-total early exit.
     for walker in self.walkers:
@@ -844,7 +833,6 @@ def _tlb_insert(self, tenant_id, vpn, frame):
 
 _PATCHES = [
     (Cache, "access", _cache_access),
-    (PageWalkSubsystem, "_try_dispatch", _pws_try_dispatch),
     (PageWalkSubsystem, "_dispatch_idle_walkers", _pws_dispatch_idle_walkers),
     (PageWalkSubsystem, "__init__", _pws_init),
     (PageWalkSubsystem, "request_walk", _pws_request_walk),
@@ -882,7 +870,7 @@ _ABSENT = object()
 
 @contextmanager
 def pr4_engine():
-    """Swap the PR-4 implementations in; restore the folded ones after."""
+    """Swap the reference implementations in; restore the shipping ones after."""
     saved = [(target, name, target.__dict__.get(name, _ABSENT))
              for target, name, _ in _PATCHES]
     try:

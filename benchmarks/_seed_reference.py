@@ -26,6 +26,8 @@ Benchmark-internal; nothing in ``src/`` imports this.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, List, Optional, Tuple
@@ -33,7 +35,7 @@ from typing import Any, Callable, List, Optional, Tuple
 import repro.tenancy.manager as manager_module
 from repro.core.partitioned import PartitionedWalkPolicy
 from repro.core.structures import TenantWalkerMap
-from repro.engine.event import HeapEventQueue
+from repro.engine.event import Event
 from repro.engine.simulator import SimulationError
 from repro.engine.stats import StatsRegistry
 from repro.gpu.gpu import Gpu
@@ -47,6 +49,71 @@ from repro.vm.subsystem import PageWalkSubsystem
 from repro.vm.tlb import Tlb
 from repro.vm.walk import WalkRequest
 from repro.vm.walker import Walker
+
+
+class HeapEventQueue:
+    """The seed binary-heap kernel, kept verbatim as a reference.
+
+    One :class:`Event` per push, ordered by ``Event.__lt__`` (a
+    Python-level comparison per sift step).  ``recycle`` is a no-op so
+    a pop/fire/recycle run loop can drive it unchanged.
+    """
+
+    def __init__(self) -> None:
+        self._heap: list = []
+        self._seq = itertools.count()
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` at absolute ``time``; returns the event."""
+        event = Event(time, next(self._seq), fn, args)
+        heapq.heappush(self._heap, event)
+        return event
+
+    def push_packed(self, time: int, fn: Callable[..., Any],
+                    args: Tuple[Any, ...]) -> Event:
+        event = Event(time, next(self._seq), fn, args)
+        heapq.heappush(self._heap, event)
+        return event
+
+    def push_raw(self, time: int, fn: Callable[..., Any],
+                 args: Tuple[Any, ...]) -> None:
+        """Handle-free scheduling, Event-backed here: the reference
+        kernel keeps one representation and the canonical
+        ``(time, seq)`` FIFO order."""
+        self.push_packed(time, fn, args)
+
+    def run_fast(self, sim, budget: int) -> int:
+        """Plain pop/fire loop (no inlining — this kernel is never timed
+        through it)."""
+        fired = 0
+        while fired < budget and not sim._stop:
+            event = self.pop()
+            if event is None:
+                break
+            sim.now = event.time
+            event.fn(*event.args)
+            fired += 1
+        return fired
+
+    def pop(self) -> Optional[Event]:
+        """Remove and return the earliest non-cancelled event, or ``None``."""
+        while self._heap:
+            event = heapq.heappop(self._heap)
+            if not event.cancelled:
+                return event
+        return None
+
+    def peek_time(self) -> Optional[int]:
+        """Time of the earliest pending event without removing it."""
+        while self._heap and self._heap[0].cancelled:
+            heapq.heappop(self._heap)
+        return self._heap[0].time if self._heap else None
+
+    def recycle(self, event: Event) -> None:
+        """No-op: the reference kernel allocates a fresh Event per push."""
 
 
 class SeedSimulator:
@@ -276,20 +343,6 @@ def _pws_dispatch_idle_walkers(self):
     for walker in self.walkers:
         if not walker.busy and not getattr(walker, "reserved", False):
             self._try_dispatch(walker)
-
-
-def _pws_try_dispatch(self, walker):
-    # Pre-fold body: no walk-fold hook — the reference must dispatch
-    # every walk through the event path.
-    request = self.policy.select(walker.id)
-    if request is None:
-        return
-    if self.dispatch_latency:
-        walker.reserved = True
-        self.sim.post_after(self.dispatch_latency, self._start_reserved,
-                            walker, request)
-    else:
-        walker.start(request)
 
 
 # ----------------------------------------------------------------------
@@ -600,7 +653,6 @@ _PATCHES = [
     (PageWalkSubsystem, "request_walk", _pws_request_walk),
     (PageWalkSubsystem, "_other_starts_on", _pws_other_starts_on),
     (PageWalkSubsystem, "_dispatch_idle_walkers", _pws_dispatch_idle_walkers),
-    (PageWalkSubsystem, "_try_dispatch", _pws_try_dispatch),
     (TenantWalkerMap, "owned_walkers", _twm_owned_walkers),
     (PartitionedWalkPolicy, "on_arrival", _policy_on_arrival),
     (PartitionedWalkPolicy, "_dequeue_for_tenant", _policy_dequeue_for_tenant),

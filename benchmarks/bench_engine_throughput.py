@@ -1,18 +1,16 @@
 """Engine throughput benchmark: shipping engine vs PR-4 vs seed.
 
 Sweeps a pair triplet spanning the suite's contention classes, plus an
-L1-resident Light pair that exercises the latency-folding fast path
-(DESIGN.md §12), and reports work-normalized wall-clock events/sec for
-three engine generations side by side:
+L1-resident Light pair, and reports work-normalized wall-clock
+events/sec for three engine generations side by side:
 
-* **engine** — the shipping kernel: calendar queue, handle-free raw
-  entries, the fused no-peek run loop, inlined component hot paths, and
-  the latency-folding fast path (fold on, its production default).
-* **pr4_reference** — the immediately preceding engine generation,
-  reconstructed verbatim by :mod:`_pr4_reference`: calendar queue with
-  per-event ``Event`` allocation plus free-list recycling, the PR-4 run
-  loop, and the PR-4 component bodies (no folding, no raw entries).
-  This is the baseline the fold's speedup claims are made against.
+* **engine** — the shipping kernel: a ``heapq`` list of
+  ``(time, seq, fn, args)`` tuples, handle-free raw entries, the fused
+  no-peek run loop and the inlined component hot paths.
+* **pr4_reference** — an earlier engine generation, reconstructed
+  verbatim by :mod:`_pr4_reference`: calendar queue with per-event
+  ``Event`` allocation plus free-list recycling, its own run loop and
+  component bodies (no raw entries).
 * **seed_reference** — the original seed engine reconstructed verbatim
   by :mod:`_seed_reference`: binary-heap queue, a run loop that peeks
   and polls a ``stop_when`` predicate per event, and the seed component
@@ -21,11 +19,9 @@ three engine generations side by side:
 The three sides simulate the identical machine state: the warm-up runs
 assert the engine's stats snapshot is byte-identical to PR-4's, and
 that PR-4 and seed fire the same event count under the same drive.
-With folding on the engine fires *fewer* events than the reference
-sides for the same simulated work, so all rates are normalized to the
-**canonical event count** (the PR-4/seed count): rate = canonical
-events / wall seconds.  The ratio between sides is then pure engine
-cost for identical work.
+All rates are normalized to that **canonical event count** (the
+count both reference sides fire): rate = canonical events / wall seconds.  The ratio
+between sides is then pure engine cost for identical work.
 
 Methodology: per pair, one untimed warm-up per side (doubles as the
 identity check), then ``--repeats`` interleaved (engine, pr4, seed)
@@ -36,12 +32,6 @@ numbers are **medians** (of the per-round paired ratios for speedups,
 of the per-round rates for events/sec); min/max are recorded alongside.
 Workload traces are memoized at module level (:class:`TraceMemo`), so
 trace generation is warmed out of every timed region on every side.
-
-Per-pair hit-path fractions (folded / total translated accesses) are
-recorded so the JSON states *which regime* each pair exercises: the
-suite pairs are miss-dominated at their standard footprints and fold
-rarely; the ``light_resident`` pair is built to fold on nearly every
-access.
 
 Each pair also records a **sharded-engine speedup curve** at 1/2/4/8
 shards (:func:`measure_shard_curve`): every sharded run is checked
@@ -74,11 +64,11 @@ if __name__ == "__main__":  # allow running without an installed package
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from _pr4_reference import pr4_engine
-from _seed_reference import seed_engine
+from _seed_reference import HeapEventQueue, seed_engine
 
 import repro.engine.simulator as simulator_module
 from repro.engine.config import GpuConfig
-from repro.engine.event import EventQueue, HeapEventQueue
+from repro.engine.event import EventQueue
 from repro.engine.profile import EngineProfiler
 from repro.tenancy.manager import MultiTenantManager
 from repro.tenancy.tenant import Tenant
@@ -87,10 +77,8 @@ from repro.workloads.suite import BENCHMARKS, benchmark
 
 #: An L1-resident Light variant: the HS spec shrunk to a footprint that
 #: fits entirely in one SM's L1 data cache *and* its L1 TLB reach, so
-#: after the cold misses every access is an L1 TLB hit + L1 data hit.
-#: This is the regime the latency-folding fast path is built for; the
-#: standard suite footprints are deliberately cache-exceeding and fold
-#: rarely (see the per-pair ``fastpath`` records).
+#: after the cold misses every access is an L1 TLB hit + L1 data hit;
+#: the standard suite footprints are deliberately cache-exceeding.
 #:
 #: Shrinking ``footprint_bytes`` alone is not enough: the stencil
 #: pattern keeps at least three rows, so HS's 8 KiB ``row_bytes`` would
@@ -107,11 +95,9 @@ _HSR_SPEC = dataclasses.replace(
 
 #: (json key, pair, warps override, scale multiplier) — the contention
 #: sweep.  ``None`` warps means the CLI value.  ``light_resident`` pins
-#: warps=1 (with a single warp per SM there is never an in-flight access
-#: ahead of the folding candidate, so the fold gates stay open) and
-#: doubles the trace length: both of its regimes — folding and the
-#: sharded engine's windows — are steady-state behaviours that only
-#: dominate once the 4 KiB footprint's cold misses are a small fraction
+#: warps=1 and doubles the trace length: its regime — the sharded
+#: engine's wide windows — is a steady-state behaviour that only
+#: dominates once the 4 KiB footprint's cold misses are a small fraction
 #: of the run.
 PAIR_SWEEP = (
     ("light", "HS.MM", None, 1.0),
@@ -199,8 +185,7 @@ def measure_pair(pcfg, repeats):
 
     Returns the per-pair record: per-side run lists with
     median/min/max work-normalized events/sec, the canonical event
-    count, paired speedups vs PR-4 and vs seed, and the engine's
-    fold statistics.
+    count, and paired speedups vs both reference sides.
     """
     # -- warm-up: one run per side, doubling as the identity check ----
     warm = {}
@@ -209,11 +194,10 @@ def measure_pair(pcfg, repeats):
         warm[name] = events
         if name == "engine":
             engine_stats = dict(manager.sim.stats.snapshot())
-            fastpath = manager.gpu.fastpath_stats()
         elif name == "pr4_reference":
             if dict(manager.sim.stats.snapshot()) != engine_stats:
                 raise SystemExit(
-                    f"{pcfg[0]}: engine (fold on) and pr4_reference produced "
+                    f"{pcfg[0]}: engine and pr4_reference produced "
                     "different stats snapshots — byte-identity broken")
     canonical = warm["pr4_reference"]
     if warm["seed_reference"] != canonical:
@@ -260,7 +244,6 @@ def measure_pair(pcfg, repeats):
         "speedup_vs_seed": statistics.median(ratios_seed),
         "ratios_vs_pr4": ratios_pr4,
         "ratios_vs_seed": ratios_seed,
-        "fastpath": fastpath,
     }
 
 
@@ -455,7 +438,6 @@ def component_profile(pcfg, top: int = 12) -> dict:
     profiler = EngineProfiler()
     with profiler.attach(manager.sim):
         manager.run()
-    profiler.note_fold_rungs(manager.gpu.fastpath_stats())
     return profiler.summary(top=top)
 
 
@@ -506,8 +488,7 @@ def main(argv=None) -> int:
         print(f"{key} ({record['pair']}): "
               f"engine {record['engine']['events_per_sec']:,.0f} ev/s, "
               f"{record['speedup_vs_pr4']:.2f}x vs pr4, "
-              f"{record['speedup_vs_seed']:.2f}x vs seed, "
-              f"hit-path {record['fastpath']['hit_path_fraction']:.1%} "
+              f"{record['speedup_vs_seed']:.2f}x vs seed "
               f"({record['canonical_events']} events)")
         record["shards"] = measure_shard_curve(pcfg, args.repeats)
         print("  shards: " + "  ".join(

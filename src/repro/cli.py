@@ -82,21 +82,6 @@ def _add_shards(parser: argparse.ArgumentParser) -> None:
                              "byte-identical across backends")
 
 
-def _add_fastpath(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-fastpath", action="store_true",
-                        help="disable the latency-folding fast path "
-                             "entirely (publishes REPRO_FASTPATH=0; "
-                             "results are byte-identical either way — "
-                             "this trades speed for the canonical "
-                             "per-stage event stream)")
-    parser.add_argument("--fastpath-walk", choices=("on", "off"),
-                        default=None,
-                        help="toggle just the walk-path fold rungs "
-                             "(L2 TLB hits, PWC-terminated walks, DRAM "
-                             "batching; publishes REPRO_FASTPATH_WALK; "
-                             "default: inherit the environment, else on)")
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=0.5,
                         help="workload length multiplier (default 0.5)")
@@ -168,28 +153,6 @@ def _install_shards(args):
     return previous
 
 
-def _install_fastpath(args):
-    """Publish the fastpath switches, when given.
-
-    Returns the previous ``(REPRO_FASTPATH, REPRO_FASTPATH_WALK)``
-    values so :func:`main` can restore them — same no-leak contract as
-    :func:`_install_shards` (tests drive ``main()`` in-process, and
-    campaign worker processes inherit the variables).
-    """
-    import os
-
-    from repro.gpu.gpu import FASTPATH_ENV, FASTPATH_WALK_ENV
-
-    previous = (os.environ.get(FASTPATH_ENV),
-                os.environ.get(FASTPATH_WALK_ENV))
-    if getattr(args, "no_fastpath", False):
-        os.environ[FASTPATH_ENV] = "0"
-    walk = getattr(args, "fastpath_walk", None)
-    if walk is not None:
-        os.environ[FASTPATH_WALK_ENV] = "1" if walk == "on" else "0"
-    return previous
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -209,11 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=POLICIES, default="dws")
     p.add_argument("--profile-breakdown", action="store_true",
                    help="attach the engine profiler and print the top "
-                        "callsites by delivery count (queue events and "
-                        "folded completions), plus the barrier/window "
+                        "callsites by event count, plus the barrier/window "
                         "breakdown when the run is sharded")
     _add_shards(p)
-    _add_fastpath(p)
     _add_common(p)
 
     p = sub.add_parser("compare", help="compare policies on one pair")
@@ -266,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "evicts least-recently-accessed entries to fit "
                         "(default: no quota)")
     _add_shards(p)
-    _add_fastpath(p)
     _add_common(p)
 
     p = sub.add_parser(
@@ -384,7 +344,7 @@ def cmd_run(args) -> int:
               f"interleave {interleaving_of(result, t):6.2f}  "
               f"stolen {steal_fraction(result, t) * 100:5.1f}%")
     if profiler is not None:
-        print("\nengine delivery breakdown (top callsites):")
+        print("\nengine event breakdown (top callsites):")
         print(profiler.report(top=12))
     return 0
 
@@ -582,8 +542,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     previous = _install_integrity(args) if hasattr(args, "audit") else None
     previous_shards = (_install_shards(args)
                        if hasattr(args, "shards") else None)
-    previous_fastpath = (_install_fastpath(args)
-                         if hasattr(args, "no_fastpath") else None)
     try:
         return COMMANDS[args.command](args)
     except SimulationError as exc:
@@ -608,14 +566,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             from repro.engine.parallel_sim import BACKEND_ENV, SHARDS_ENV
             for env, value in zip((SHARDS_ENV, BACKEND_ENV),
                                   previous_shards):
-                if value is None:
-                    os.environ.pop(env, None)
-                else:
-                    os.environ[env] = value
-        if previous_fastpath is not None:
-            from repro.gpu.gpu import FASTPATH_ENV, FASTPATH_WALK_ENV
-            for env, value in zip((FASTPATH_ENV, FASTPATH_WALK_ENV),
-                                  previous_fastpath):
                 if value is None:
                     os.environ.pop(env, None)
                 else:

@@ -29,13 +29,10 @@ a dynamic cap: once it parks an intent whose response could re-enter the
 shard (an L1 TLB miss or a data miss), it must not advance past the
 earliest possible delivery of that response.
 
-Identity contract (same discipline as ``REPRO_FASTPATH``): for any K,
-``REPRO_SHARDS=K`` produces byte-identical stats snapshots, cycle counts
-and per-tenant tables to the single-core oracle.  ``events_fired`` and
-wall-clock are the only permitted deltas — latency folding is disabled
-inside the sharded engine (per-shard completion batches would reorder
-cross-shard intents), and PR 5's fold-identity guarantee transfers the
-byte-identity to the folding oracle.  ``max_events`` remains a hard
+Identity contract: for any K, ``REPRO_SHARDS=K`` produces
+byte-identical stats snapshots, cycle counts and per-tenant tables to
+the single-core oracle.  ``events_fired`` and wall-clock are the only
+permitted deltas.  ``max_events`` remains a hard
 budget but is enforced per window rather than per event, so the exact
 count fired on the over-budget *error* path may differ.
 
@@ -165,10 +162,7 @@ class ParallelSimulator(Simulator):
         SMs are split into ``num_shards`` contiguous blocks.  Each SM,
         its L1 data cache and its L1 TLB are rebound to the shard's
         facade sim (own clock + keyed queue); the SM's GPU reference and
-        the L1's lower port become the window-aware proxies.  Latency
-        folding is turned off for the whole run — the window datapath
-        has no folded path, and per-shard completion batches would break
-        cross-shard ordering (see DESIGN.md §13).
+        the L1's lower port become the window-aware proxies.
         """
         if self.shards:
             raise SimulationError("attach_gpu called twice")
@@ -213,11 +207,6 @@ class ParallelSimulator(Simulator):
                 sm.add_warp = _recording_add_warp(sm.add_warp, shard_streams)
             self.shards.append(shard)
             self._queues.append(shard.sim.events)
-        gpu.fold_enabled = False
-        # The walk rungs (and the DRAM batching they gate) assume the
-        # single-calendar slot discipline; shards replay cross-boundary
-        # traffic through ports, so they run the canonical event path.
-        gpu.fold_walk_enabled = False
         launch = gpu.launch_warps
 
         def launch_counted(tenant_id, streams, _launch=launch,
@@ -485,9 +474,6 @@ class ParallelSimulator(Simulator):
         parent = self.events
         fire = self._fire_intent
         for shard in self.shards:
-            if shard.unfolded:
-                gpu._unfolded_accesses += shard.unfolded
-                shard.unfolded = 0
             deltas = shard.instr_delta
             if deltas:
                 count = gpu.count_instructions
@@ -791,9 +777,6 @@ class ParallelSimulator(Simulator):
         shard = self.shards[remote.shard_id]
         shard.events_fired += reply["fired"]
         shard.work_ns += reply["work_ns"]
-        unfolded = reply["unfolded"]
-        if unfolded:
-            gpu._unfolded_accesses += unfolded
         for tenant_id, count in reply["instr"]:
             gpu.count_instructions(tenant_id, count)
         intents = reply["intents"]

@@ -25,7 +25,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.engine.calendar import CompletionBatches
 from repro.engine.event import Event
 from repro.mem.cache import _noop as _writeback_noop
 
@@ -102,19 +101,17 @@ class KeyedQueue:
     ``(time, seq)`` order exactly (see :class:`OrderKey`).
 
     One class serves both the conductor's boundary queue (which needs
-    the full :class:`~repro.engine.event.EventQueue` surface — handles,
-    cancellation, completion batches) and the per-shard queues (which
-    only ever see ``push_raw``).
+    the full :class:`~repro.engine.event.EventQueue` surface — handles
+    and cancellation) and the per-shard queues (which only ever see
+    ``push_raw``).
     """
 
-    __slots__ = ("heap", "ctx", "_live", "_batches")
+    __slots__ = ("heap", "ctx", "_live")
 
     def __init__(self) -> None:
         self.heap: List[tuple] = []
         self.ctx = Ctx(None)
         self._live = 0
-        self._batches = CompletionBatches()
-        self._batches.requeue = self.push_raw
 
     def __len__(self) -> int:
         return self._live
@@ -147,19 +144,6 @@ class KeyedQueue:
     def push(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         return self.push_packed(time, fn, args)
 
-    def schedule_batch(self, time: int, fn: Callable[..., Any],
-                       args: Tuple[Any, ...] = ()) -> None:
-        if self._batches.add(time, fn, args):
-            self.push_raw(time, self._batches.fire, (time,))
-
-    @property
-    def delivery_observer(self):
-        return self._batches.delivery_observer
-
-    @delivery_observer.setter
-    def delivery_observer(self, hook) -> None:
-        self._batches.delivery_observer = hook
-
     # -- extraction ----------------------------------------------------
     def front_time(self) -> int:
         """Earliest pending time, or -1 when empty."""
@@ -191,9 +175,6 @@ class KeyedQueue:
             event.time = time
             return None if event.cancelled else event
         return Event(time, 0, fn, args)
-
-    def recycle(self, event: Event) -> None:
-        """No-op: keyed entries are plain tuples, never recycled."""
 
 
 def _fire_event(event: Event) -> None:
@@ -303,7 +284,7 @@ class Shard:
 
     __slots__ = ("engine", "shard_id", "sm_ids", "sim", "intents",
                  "park_seq", "cap", "instr_delta", "warp_done_delta",
-                 "unfolded", "events_fired", "work_ns")
+                 "events_fired", "work_ns")
 
     def __init__(self, engine, shard_id: int, sm_ids: List[int]) -> None:
         self.engine = engine
@@ -319,7 +300,6 @@ class Shard:
         self.cap = float("inf")
         self.instr_delta: Dict[int, int] = {}
         self.warp_done_delta: Dict[int, int] = {}
-        self.unfolded = 0
         self.events_fired = 0
         self.work_ns = 0
 
@@ -339,10 +319,10 @@ class ShardGpuPort:
     Outside a window it passes straight through to the real
     :class:`~repro.gpu.gpu.Gpu` (serial steps are exact-order, so the
     serial code runs unchanged).  Inside a window it mirrors the
-    *unfolded* ``access_memory`` path — shard-local side effects applied
+    ``access_memory`` path — shard-local side effects applied
     immediately and in order (L1 TLB probe counters and LRU, per-SM
-    translation MSHRs/overflow, stall counters, pending-hit refcounts),
-    boundary side effects parked:
+    translation MSHRs/overflow, stall counters), boundary side effects
+    parked:
 
     * the L1 TLB **hit** path skips ``ensure_mapped`` outright — a hit
       proves the page is already mapped, so the call is a no-op and the
@@ -356,10 +336,6 @@ class ShardGpuPort:
       per-shard deltas, summed at the barrier — safe because the window
       horizon provably precedes any zero-crossing of a tenant's active
       warp count (see the completion floor in parallel_sim).
-
-    Latency folding is disabled for the whole sharded run (the window
-    proxy has no folded path); byte-identity with a folding serial
-    oracle holds through the PR-5 fold-identity theorem.
     """
 
     __slots__ = ("gpu", "engine", "shard")
@@ -382,15 +358,12 @@ class ShardGpuPort:
         vpn = vaddr >> gpu._page_bits
         offset = vaddr & gpu._page_mask
         tlat = gpu.l1_tlbs[sm_id].probe_fast(tenant_id, vpn)
-        shard = self.shard
-        shard.unfolded += 1
         if tlat >= 0:
             page_table = gpu.tenants[tenant_id].page_table
             paddr = page_table.translate(vpn) * gpu._frame_bytes + offset
-            gpu._pending_hits[sm_id] += 1
-            sim = shard.sim
+            sim = self.shard.sim
             sim.events.push_raw(
-                sim.now + tlat, gpu._deliver_hit,
+                sim.now + tlat, gpu.memory.data_access,
                 (sm_id, paddr, is_write, on_done, tenant_id),
             )
             return
@@ -487,14 +460,11 @@ class ProcShardGpuPort(ShardGpuPort):
         offset = vaddr & gpu._page_mask
         tlb = gpu.l1_tlbs[sm_id]
         frame = tlb.probe_fast_frame(tenant_id, vpn)
-        shard = self.shard
-        shard.unfolded += 1
         if frame is not None:
             paddr = frame * gpu._frame_bytes + offset
-            gpu._pending_hits[sm_id] += 1
-            sim = shard.sim
+            sim = self.shard.sim
             sim.events.push_raw(
-                sim.now + tlb._hit_latency, gpu._deliver_hit,
+                sim.now + tlb._hit_latency, gpu.memory.data_access,
                 (sm_id, paddr, is_write, on_done, tenant_id),
             )
             return

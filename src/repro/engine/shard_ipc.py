@@ -313,7 +313,6 @@ def encode_reply(
     front: Optional[Tuple[int, Optional[OrderKey], int]],
     qlen: int,
     floor_off: int,
-    unfolded: int,
     work_ns: int,
     instr: List[Tuple[int, int]],
     intents: List[tuple],
@@ -330,7 +329,6 @@ def encode_reply(
         w.i64(sub)
     w.i64(qlen)
     w.i64(floor_off)
-    w.i64(unfolded)
     w.i64(work_ns)
     w.u32(len(instr))
     for tenant_id, count in instr:
@@ -382,7 +380,6 @@ def decode_reply(codec: KeyCodec, body: bytes) -> dict:
         front = (t, key, sub)
     qlen = r.i64()
     floor_off = r.i64()
-    unfolded = r.i64()
     work_ns = r.i64()
     instr = [(r.i64(), r.i64()) for _ in range(r.u32())]
     intents = []
@@ -407,7 +404,6 @@ def decode_reply(codec: KeyCodec, body: bytes) -> dict:
         "front": front,
         "qlen": qlen,
         "floor_off": floor_off,
-        "unfolded": unfolded,
         "work_ns": work_ns,
         "instr": instr,
         "intents": intents,

@@ -464,10 +464,7 @@ class _WorkerRuntime:
                       _gpu=gpu, _port=port, _ssim=ssim) -> None:
             frame = _gpu.l1_tlbs[sm_id].probe_fast_frame(tenant_id, vpn)
             if frame is not None:
-                _gpu._pending_hits[sm_id] += 1
-                _ssim.post_after(_gpu._l1_hit_latency,
-                                 _gpu._fire_pending_hit,
-                                 sm_id, on_translated, frame)
+                _ssim.post_after(_gpu._l1_hit_latency, on_translated, frame)
                 return
             _port._translate_miss(sm_id, tenant_id, vpn, on_translated)
 
@@ -596,11 +593,9 @@ class _WorkerRuntime:
         shard.intents.clear()
         instr = sorted(shard.instr_delta.items())
         shard.instr_delta.clear()
-        unfolded = shard.unfolded
-        shard.unfolded = 0
         body = encode_reply(
             self.codec, fired, q.front_key(), len(q), self._floor(),
-            unfolded, work_ns, instr, wire_intents)
+            work_ns, instr, wire_intents)
         self.chan.send(MSG_REPLY, body)
 
     def _floor(self) -> int:

@@ -13,10 +13,9 @@ for the other does not change simulated behaviour.  The multi-tenant
 manager uses :meth:`stop` to implement the paper's methodology of
 running until every tenant has completed at least one full execution.
 
-The common no-``until``/no-``stop_when`` case runs a tight loop that
-pops, fires and recycles events without peeking, which together with the
-calendar queue in :mod:`repro.engine.event` is what the engine
-throughput benchmark measures.
+The common no-``until``/no-``stop_when`` case runs the heap queue's
+fused pop-and-fire loop (:meth:`repro.engine.event.EventQueue.run_fast`)
+without peeking.
 """
 
 from __future__ import annotations
@@ -126,8 +125,8 @@ class Simulator:
         no :class:`Event` is created and the callback cannot be
         cancelled.  The hot scheduling path for component callbacks —
         nothing in the simulator ever cancels or holds those handles,
-        and skipping the Event lifecycle is a first-order win (see
-        DESIGN.md §12)."""
+        and skipping the Event allocation is a first-order win (see
+        DESIGN.md §8)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event in the past: {time} < now={self.now}"
@@ -141,20 +140,6 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         self.events.push_raw(self.now + delay, fn, args)
 
-    def batch_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn(*args)`` at ``time`` via the per-timestamp
-        completion batch: N calls for one cycle share a single event.
-
-        Used by the latency-folding fast path.  Unlike :meth:`at`, no
-        :class:`Event` handle is returned and the callback cannot be
-        cancelled.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event in the past: {time} < now={self.now}"
-            )
-        self.events.schedule_batch(time, fn, args)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -163,17 +148,8 @@ class Simulator:
 
         Equivalent to a ``stop_when`` predicate turning true, without the
         per-event polling cost.  Cleared by the next :meth:`run` call.
-
-        Also halts the in-flight completion batch, if the stop came
-        from inside one: the unfolded kernel leaves same-cycle
-        completions after the stopping event undelivered, and fold
-        identity requires the batched fast path to stop at the same
-        delivery.
         """
         self._stop = True
-        batches = getattr(self.events, "_batches", None)
-        if batches is not None:  # reference kernels predate batching
-            batches.halt = True
 
     def close(self) -> None:
         """Release engine-held execution resources (worker pools).
@@ -211,19 +187,15 @@ class Simulator:
         self._running = True
         self._stop = False
         events = self.events
-        batches = getattr(events, "_batches", None)
-        if batches is not None:
-            batches.halt = False
         take = events.pop
-        recycle = events.recycle
         profiler = self.profiler
         audit = self.audit_hook
         try:
             if (until is None and stop_when is None and profiler is None
                     and audit is None):
                 # Fast path: nothing to peek for, nothing to poll — the
-                # fused loop inside the event queue does pop, dispatch
-                # and recycling in one frame.
+                # fused loop inside the event queue pops and dispatches
+                # in one frame.
                 budget = sys.maxsize if max_events is None else max_events
                 fired = events.run_fast(self, budget)
             else:
@@ -252,10 +224,9 @@ class Simulator:
                         profiler.record(event)
                     event.fn(*event.args)
                     fired += 1
-                    recycle(event)
                     if audit is not None:
-                        # After the event (and recycling): the hook sees
-                        # quiescent state, exactly between two events.
+                        # After the event: the hook sees quiescent
+                        # state, exactly between two events.
                         audit()
         finally:
             self._running = False

@@ -22,7 +22,6 @@ of cache-unfriendly tenants straight to DRAM (PTE bypass).
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -38,15 +37,6 @@ from repro.vm.page_table import PageTable
 from repro.vm.subsystem import PageWalkSubsystem
 from repro.vm.tlb import Tlb
 from repro.vm.walk import WalkRequest
-
-#: Kill switch for the latency-folding fast path (DESIGN.md §12); "0"
-#: disables every fold rung and restores the canonical event stream.
-FASTPATH_ENV = "REPRO_FASTPATH"
-#: Sub-switch for the walk-path rungs only (DESIGN.md §14); "0" keeps
-#: the hit fold while the L2-TLB/PWC/DRAM-batch rungs fall back to the
-#: event path.
-FASTPATH_WALK_ENV = "REPRO_FASTPATH_WALK"
-
 
 class TenantContext:
     """Everything the GPU tracks per co-running tenant."""
@@ -159,56 +149,6 @@ class Gpu:
             i: sim.stats.counter(f"l1tlb.sm{i}.mshr_stalls")
             for i in range(config.sm.num_sms)
         }
-
-        # Latency-folding fast path (DESIGN.md §12).  ``fold_enabled``
-        # is the kill switch (REPRO_FASTPATH=0 disables; tests and the
-        # benchmark toggle the attribute directly); folding additionally
-        # auto-disables whenever an audit hook is installed, so every
-        # audit level observes the canonical per-stage event stream.
-        # ``_pending_hits[sm]`` counts scheduled-but-undelivered
-        # unfolded L1-TLB-hit continuations: while one is in flight its
-        # deferred data-cache probe has not happened yet, so folding a
-        # later access would reorder the bank arithmetic.  The fold
-        # tallies are deliberately plain ints, not registry counters — a
-        # counter would appear in snapshots and break the folded ==
-        # unfolded byte-identity it exists to preserve.
-        self.fold_enabled = os.environ.get(FASTPATH_ENV, "1") != "0"
-        self._pending_hits: List[int] = [0] * config.sm.num_sms
-        self._folded_accesses = 0
-        self._unfolded_accesses = 0
-
-        # Walk-path folding (DESIGN.md §14): the same fold discipline
-        # one level down the translation path.  ``fold_walk_enabled`` is
-        # the sub-switch — REPRO_FASTPATH_WALK=0 disables just the walk
-        # rungs while the hit fold stays on — and every walk-rung gate
-        # also re-checks ``fold_enabled`` so killing the parent switch
-        # (env or attribute) restores the full event path.
-        self.fold_walk_enabled = os.environ.get(
-            FASTPATH_WALK_ENV, "1") != "0"
-        # Evented L2-TLB lookups in flight: while one is pending its
-        # deferred probe has not refreshed the LRU yet, so an eager fold
-        # probe issued behind it would reorder the recency updates.
-        self._l2_lookups_inflight = 0
-        self._pws_unique = self.walk_subsystems()
-        # A folded walk applies its leaf read's L2 bank arithmetic at
-        # dispatch-select time, dispatch+pwc cycles early.  That is
-        # order-safe only when no data access issued from this cycle on
-        # can reach the L2 before the read would have run: the shortest
-        # such path is an L1 probe plus the interconnect traversal.
-        self._walk_window_ok = (
-            config.sm.l1_cache.hit_latency + config.interconnect_latency
-            > config.walkers.dispatch_latency + config.walkers.pwc_latency
-        )
-        self._folded_l2_hits = 0
-        self._folded_walks = 0
-        # Rung denominators for the per-rung fold fractions reported by
-        # fastpath_stats(): evented L2 lookups and total walk requests.
-        self._unfolded_l2_lookups = 0
-        self._walk_requests = 0
-        for pws in self._pws_unique:
-            pws.folder = self
-        self.memory.l2.batch_gate = self
-        self.memory.dram.batch_gate = self
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -332,46 +272,22 @@ class Gpu:
     # ------------------------------------------------------------------
     def access_memory(self, sm_id: int, tenant_id: int, vaddr: int,
                       is_write: bool, on_done: Callable[[], None]) -> None:
-        """Translate then access memory; ``on_done`` at data return.
-
-        When the whole access is combinational — L1 TLB hit plus an L1
-        data-cache hit on a quiescent path — its completion cycle is
-        computed arithmetically and ``on_done`` joins the per-timestamp
-        completion batch: zero per-stage events.  The first miss, MSHR
-        activity, back-pressure, pending unfolded probe, or installed
-        audit hook falls back to the per-stage event path, whose
-        behaviour is byte-identical to the pre-fold engine.
-        """
+        """Translate then access memory; ``on_done`` at data return."""
         vpn = vaddr >> self._page_bits
         page_table = self.tenants[tenant_id].page_table
         page_table.ensure_mapped(vpn)
         offset = vaddr & self._page_mask
         tlat = self.l1_tlbs[sm_id].probe_fast(tenant_id, vpn)
         if tlat >= 0:
-            # L1 TLB hit: the translation itself is pure arithmetic.
+            # L1 TLB hit: the translation itself is pure arithmetic; the
+            # data-cache probe runs after the TLB hit latency.
             sim = self.sim
             paddr = page_table.translate(vpn) * self._frame_bytes + offset
-            if (self.fold_enabled
-                    and sim.audit_hook is None
-                    and not self._pending_hits[sm_id]
-                    and not self._xlat_mshrs[sm_id]
-                    and not self.sms[sm_id]._mem_wait
-                    and self.memory.data_ready_fast(sm_id)):
-                completion = self.memory.data_probe_fast(
-                    sm_id, paddr, is_write, sim.now + tlat
-                )
-                if completion >= 0:
-                    self._folded_accesses += 1
-                    sim.events.schedule_batch(completion, on_done)
-                    return
-            self._unfolded_accesses += 1
-            self._pending_hits[sm_id] += 1
             sim.events.push_raw(
-                sim.now + tlat, self._deliver_hit,
+                sim.now + tlat, self.memory.data_access,
                 (sm_id, paddr, is_write, on_done, tenant_id),
             )
             return
-        self._unfolded_accesses += 1
 
         def translated(frame: int) -> None:
             paddr = frame * self._frame_bytes + offset
@@ -385,36 +301,20 @@ class Gpu:
         """Issue a coalesced op's unique-page accesses back to back.
 
         ``on_done`` is invoked once per access (the SM passes a join
-        object).  Accesses that fold to the same completion cycle land
-        in the same batch, so a fully hit op costs one heap entry for
-        its entire hit subset.
+        object).
         """
         access = self.access_memory
         for _page, addr in accesses:
             access(sm_id, tenant_id, addr, is_write, on_done)
-
-    def _deliver_hit(self, sm_id: int, paddr: int, is_write: bool,
-                     on_done: Callable[[], None], tenant_id: int) -> None:
-        """The unfolded L1-TLB-hit continuation: probe the data cache."""
-        self._pending_hits[sm_id] -= 1
-        self.memory.data_access(sm_id, paddr, is_write, on_done, tenant_id)
 
     def _translate(self, sm_id: int, tenant_id: int, vpn: int,
                    on_translated: Callable[[int], None]) -> None:
         l1 = self.l1_tlbs[sm_id]
         if l1.lookup(tenant_id, vpn):
             frame = self.tenants[tenant_id].page_table.translate(vpn)
-            self._pending_hits[sm_id] += 1
-            self.sim.post_after(self._l1_hit_latency, self._fire_pending_hit,
-                                sm_id, on_translated, frame)
+            self.sim.post_after(self._l1_hit_latency, on_translated, frame)
             return
         self._translate_miss(sm_id, tenant_id, vpn, on_translated)
-
-    def _fire_pending_hit(self, sm_id: int,
-                          on_translated: Callable[[int], None],
-                          frame: int) -> None:
-        self._pending_hits[sm_id] -= 1
-        on_translated(frame)
 
     def _translate_miss(self, sm_id: int, tenant_id: int, vpn: int,
                         on_translated: Callable[[int], None]) -> None:
@@ -430,51 +330,10 @@ class Gpu:
             return
         mshrs[key] = [on_translated]
         sim = self.sim
-        # Walk-fold rung (a): the L2-TLB lookup runs a fixed number of
-        # cycles after issue, so while no walk can complete (no insert
-        # can land) and no evented lookup is pending (no LRU refresh can
-        # interleave), its outcome is already determined here.  A hit
-        # folds to an eager probe plus a deferred counter tick at the
-        # lookup's canonical slot; a miss — or any open gate — falls
-        # through to the unchanged event path.
-        if (self.fold_walk_enabled and self.fold_enabled
-                and self.mask is None
-                and sim.audit_hook is None
-                and self._l2_lookups_inflight == 0
-                and self._walks_quiet()):
-            frame = self._l2_tlbs[tenant_id].fold_probe(tenant_id, vpn)
-            if frame is not None:
-                self._folded_l2_hits += 1
-                sim.events.push_raw(sim.now + self._l1_miss_step,
-                                    self._fold_l2_tick,
-                                    (sm_id, tenant_id, vpn, frame))
-                return
-        self._l2_lookups_inflight += 1
-        self._unfolded_l2_lookups += 1
         sim.events.push_raw(sim.now + self._l1_miss_step,
                             self._l2_tlb_lookup, (sm_id, tenant_id, vpn))
 
-    def _walks_quiet(self) -> bool:
-        """No walk in flight anywhere: nothing can insert into an L2 TLB
-        before a lookup issued this cycle would have probed it."""
-        for pws in self._pws_unique:
-            if pws._inflight:
-                return False
-        return True
-
-    def _fold_l2_tick(self, sm_id: int, tenant_id: int, vpn: int,
-                      frame: int) -> None:
-        """Deferred slot of a folded L2-TLB hit: the lookup counters tick
-        at the cycle the evented lookup ran, and the finish hop rides the
-        identical slot its ``post_after`` would have occupied."""
-        self._l2_tlbs[tenant_id].fold_count_hit()
-        sim = self.sim
-        sim.events.push_raw(sim.now + self._l2_hit_latency,
-                            self._finish_translation,
-                            (sm_id, tenant_id, vpn, frame, False))
-
     def _l2_tlb_lookup(self, sm_id: int, tenant_id: int, vpn: int) -> None:
-        self._l2_lookups_inflight -= 1
         l2 = self._l2_tlbs[tenant_id]
         hit = l2.lookup(tenant_id, vpn)
         if self.mask is not None:
@@ -496,93 +355,8 @@ class Gpu:
 
     def _enqueue_walk(self, sm_id: int, tenant_id: int, vpn: int) -> None:
         """The L2-TLB-miss hop: hand the translation to the walkers."""
-        self._walk_requests += 1
         self._pws[tenant_id].request_walk(
             tenant_id, vpn, _WalkDone(self, sm_id, tenant_id, vpn))
-
-    # ------------------------------------------------------------------
-    # Walk-fold rung (b): PWC-terminated walk folding (DESIGN.md §14)
-    # ------------------------------------------------------------------
-    def try_fold_walk(self, pws: PageWalkSubsystem, walker, request) -> bool:
-        """Complete a dispatch-ready walk arithmetically when its latency
-        is fully determined: a deepest-prefix PWC hit leaves exactly one
-        page-table read (the leaf PTE), and when every walker is idle,
-        the L2 is quiescent and no in-flight interconnect traversal can
-        deliver inside the fold window, that read's bank timing — hence
-        the walk's completion cycle — is already known at dispatch.
-
-        Observable effects ride a three-tick chain of raw entries pushed
-        at the exact moments (hence exact FIFO slots) the event path's
-        dispatch, level read and completion delivery would have been
-        pushed, so stats snapshots agree on either side of any
-        ``sim.stop()``.  Only the internal L2 bank/LRU and PWC recency
-        state is applied eagerly; quiescence makes that order-neutral.
-        Returns False with nothing touched when any gate is open — the
-        caller then dispatches through the unchanged event path.
-        """
-        sim = self.sim
-        if (not self.fold_walk_enabled or not self.fold_enabled
-                or self.mask is not None
-                or sim.audit_hook is not None
-                or not self._walk_window_ok
-                or pws.dispatch_latency == 0):
-            return False
-        for other in self._pws_unique:
-            for w in other.walkers:
-                if w.busy or w.reserved:
-                    return False
-        memory = self.memory
-        l2 = memory.l2
-        if (memory.noc.delivery_horizon >= sim.now or l2._mshrs
-                or l2._overflow):
-            return False
-        pwc = pws.pwc
-        tenant_id = request.tenant_id
-        vpn = request.vpn
-        if not pwc.fold_peek_leaf(tenant_id, vpn):
-            return False
-        leaf = pws.page_tables[tenant_id].walk_addresses(vpn)[-1]
-        now = sim.now
-        done = l2.fold_walk_read(
-            leaf, now + pws.dispatch_latency + pws.pwc_latency)
-        if done < 0:
-            return False
-        pwc.fold_commit_leaf(tenant_id, vpn)
-        self._folded_walks += 1
-        walker.reserved = True
-        sim.events.push_raw(now + pws.dispatch_latency, self._walk_fold_start,
-                            (pws, walker, request, done))
-        return True
-
-    def _walk_fold_start(self, pws: PageWalkSubsystem, walker, request,
-                         done: int) -> None:
-        """Tick 1, the dispatch slot: walker state and service-start
-        effects exactly as ``Walker.start`` applies them, plus the PWC
-        hit counters at the probe's canonical cycle."""
-        walker.reserved = False
-        walker.busy = True
-        walker.current = request
-        request.walker_id = walker.id
-        sim = self.sim
-        request.service_start = sim.now
-        pws.note_service_start(walker, request)
-        pws.pwc.fold_count_leaf_hit()
-        request.memory_accesses = 1
-        sim.events.push_raw(sim.now + pws.pwc_latency,
-                            self._walk_fold_read, (walker, request, done))
-
-    def _walk_fold_read(self, walker, request, done: int) -> None:
-        """Tick 2, the level-read slot: the L2 hit counter ticks here
-        (bank/LRU state was applied eagerly at fold time) and the
-        completion rides the read's computed data-ready cycle."""
-        self.memory.l2._count_hit()
-        self.sim.events.push_raw(done, self._walk_fold_finish,
-                                 (walker, request))
-
-    def _walk_fold_finish(self, walker, request) -> None:
-        """Tick 3, the completion slot: the real finish machinery (PWC
-        fill, completion stats, callbacks, re-dispatch) runs unchanged."""
-        walker._finish(request)
 
     def _walk_done(self, sm_id: int, tenant_id: int, vpn: int,
                    request: WalkRequest) -> None:
@@ -610,40 +384,6 @@ class Gpu:
             self._translate(sm_id, tenant_id, vpn, on_translated)
             # _translate may hit (no MSHR used) or allocate one; loop
             # re-checks capacity either way.
-
-    # ------------------------------------------------------------------
-    # Fast-path introspection (benchmark / tests; not simulated state)
-    # ------------------------------------------------------------------
-    def fastpath_stats(self) -> Dict[str, float]:
-        """Fold tallies for the throughput benchmark's hit-path-fraction
-        report.  Execution metadata like ``events_fired`` — never part
-        of a snapshot, so folded and unfolded runs stay byte-identical.
-        """
-        total = self._folded_accesses + self._unfolded_accesses
-        l2_total = self._folded_l2_hits + self._unfolded_l2_lookups
-        batched_fetches = self.memory.l2._batched_fetches
-        fetch_total = self.memory.l2._misses.value
-        return {
-            "folded_accesses": self._folded_accesses,
-            "unfolded_accesses": self._unfolded_accesses,
-            "hit_path_fraction": self._folded_accesses / total if total else 0.0,
-            "folded_l2_tlb_hits": self._folded_l2_hits,
-            "folded_walks": self._folded_walks,
-            "batched_dram_fetches": batched_fetches,
-            "batched_dram_returns": self.memory.dram._batched_returns,
-            # Per-rung fold fractions (DESIGN.md §14): how much of each
-            # stage's traffic the rung absorbed.  Denominators are the
-            # stage's own totals — L2 TLB lookups for rung (a), walk
-            # requests for rung (b), L2-miss fetches for rung (c) — so
-            # the fractions say which regime each pair exercises.
-            "l2_fold_fraction":
-                self._folded_l2_hits / l2_total if l2_total else 0.0,
-            "walk_fold_fraction":
-                (self._folded_walks / self._walk_requests
-                 if self._walk_requests else 0.0),
-            "dram_batch_fraction":
-                batched_fetches / fetch_total if fetch_total else 0.0,
-        }
 
     # ------------------------------------------------------------------
     # Accounting: called by SMs

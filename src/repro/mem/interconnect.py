@@ -41,15 +41,6 @@ class Interconnect:
         self.line_bytes = line_bytes
         self.name = name
         self._port_free = [0] * ports
-        #: cycle past which no accepted traversal can still be in
-        #: flight.  The walk-folding gate (DESIGN.md §14) reads this:
-        #: while ``delivery_horizon >= now`` an inbound data access may
-        #: touch the L2 within the fold's soundness window (a delivery
-        #: scheduled *at* now may not have fired yet, so the boundary
-        #: counts as busy), and walk reads must stay on the event path.
-        #: A watermark instead of an in-flight count: one store on the
-        #: accept path, nothing on the delivery path.
-        self.delivery_horizon = -1
         self._transfers = sim.stats.counter(f"{name}.transfers")
         self._queue_delay = sim.stats.accumulator(f"{name}.queue_delay")
 
@@ -68,8 +59,5 @@ class Interconnect:
             start = now
         self._queue_delay.add(start - now)
         self._port_free[port] = start + self.cycles_per_transfer
-        done = start + self.latency
-        if done > self.delivery_horizon:
-            self.delivery_horizon = done
-        sim.events.push_raw(done, self.lower.access,
+        sim.events.push_raw(start + self.latency, self.lower.access,
                             (addr, is_write, on_done, tenant_id))

@@ -72,32 +72,6 @@ class PageWalkCache:
         self._misses.value += 1
         return 0
 
-    def fold_peek_leaf(self, tenant_id: int, vpn: int) -> bool:
-        """True when :meth:`probe` would match the deepest prefix.
-
-        Pure peek for the walk-folding path (DESIGN.md §14): a
-        ``max_depth`` match means the walk issues exactly one read (the
-        leaf PTE), which is the only shape whose latency is fully
-        determined at dispatch time.  Touches nothing — the caller
-        commits with :meth:`fold_commit_leaf` once every other fold
-        gate has passed, and defers the counters to
-        :meth:`fold_count_leaf_hit` at the cycle the evented probe
-        would have run.
-        """
-        depth = self._max_depth
-        return (tenant_id, depth, vpn >> self._prefix_shifts[depth]) in self._lru
-
-    def fold_commit_leaf(self, tenant_id: int, vpn: int) -> None:
-        """Apply the LRU refresh of a peeked deepest-prefix hit."""
-        depth = self._max_depth
-        self._lru.move_to_end(
-            (tenant_id, depth, vpn >> self._prefix_shifts[depth]))
-
-    def fold_count_leaf_hit(self) -> None:
-        """Deferred counter ticks for a folded deepest-prefix hit."""
-        self._hits.value += 1
-        self._skipped.value += self._max_depth
-
     def fill(self, tenant_id: int, vpn: int) -> None:
         """Install the partial translations a completed walk produced."""
         shifts = self._prefix_shifts

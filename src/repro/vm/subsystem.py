@@ -103,11 +103,6 @@ class PageWalkSubsystem:
         #: re-checks this subsystem's invariants on every walk service
         #: start and completion, not just between events
         self.auditor = None
-        #: optional walk folder (the Gpu): offered every dispatch before
-        #: the walker is reserved; when it accepts, the walk completes
-        #: through the fold's slot-exact tick chain (DESIGN.md §14)
-        #: instead of the per-level event path.
-        self.folder = None
         policy.attach(self)
 
     # ------------------------------------------------------------------
@@ -223,9 +218,6 @@ class PageWalkSubsystem:
     def _try_dispatch(self, walker: Walker) -> None:
         request = self.policy.select(walker.id)
         if request is None:
-            return
-        folder = self.folder
-        if folder is not None and folder.try_fold_walk(self, walker, request):
             return
         if self.dispatch_latency:
             walker.reserved = True

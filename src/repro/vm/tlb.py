@@ -62,13 +62,12 @@ class Tlb:
         return False
 
     def probe_fast(self, tenant_id: int, vpn: int) -> int:
-        """Side-effect-complete probe for the latency-folding path.
+        """:meth:`lookup` reporting the outcome as a latency.
 
         Identical side effects to :meth:`lookup` (lookup/hit/miss
-        counters, LRU refresh), but reports the outcome as a latency:
-        the TLB's hit latency on a hit, ``-1`` on a miss.  Lookups are
-        already synchronous, so this only saves the caller the config
-        attribute chain — and states the folding contract explicitly.
+        counters, LRU refresh), but returns the TLB's hit latency on a
+        hit and ``-1`` on a miss, which saves the per-access datapath
+        the config attribute chain.
         """
         key = (tenant_id, vpn)
         tlb_set = self._sets[vpn % self._num_sets]
@@ -100,34 +99,6 @@ class Tlb:
             return tlb_set[key]
         self._misses.value += 1
         return None
-
-    def fold_probe(self, tenant_id: int, vpn: int) -> Optional[int]:
-        """Hit-only eager probe for the walk-folding path (DESIGN.md §14).
-
-        The L2-TLB lookup of an L1-missed translation runs a fixed
-        number of cycles after issue, so while no walk can complete and
-        no evented lookup is in flight the probe outcome is already
-        determined at issue time.  On a hit this applies the LRU refresh
-        *now* — probes are applied in issue order, which is the order
-        the deferred lookups would have run in — and returns the cached
-        frame; the caller schedules :meth:`fold_count_hit` at the cycle
-        the evented lookup would have executed, so the lookup/hit
-        counters tick at their canonical slot.  On a miss nothing is
-        touched and ``None`` is returned: the caller falls back to the
-        ordinary event path, whose deferred lookup then probes (and
-        counts) exactly as before.
-        """
-        key = (tenant_id, vpn)
-        tlb_set = self._sets[vpn % self._num_sets]
-        if key not in tlb_set:
-            return None
-        tlb_set.move_to_end(key)
-        return tlb_set[key]
-
-    def fold_count_hit(self) -> None:
-        """Deferred lookup+hit tick for folded probes (:meth:`fold_probe`)."""
-        self._lookups.value += 1
-        self._hits.value += 1
 
     def insert(self, tenant_id: int, vpn: int, frame: int) -> None:
         """Fill a translation, evicting the set's LRU entry if needed."""

@@ -1,19 +1,21 @@
-"""Calendar-queue kernel: differential equivalence, regions, recycling.
+"""Event-queue ordering contract: differential equivalence, cancellation,
+handles, and stop() among same-cycle events.
 
-The calendar queue must be observationally identical to the seed heap
-kernel (:class:`HeapEventQueue`) for every push/pop/cancel interleaving:
-same events, same order, bit for bit.  These tests drive both kernels
-through random schedules and through each corner of the calendar's three
-storage regions (ring, overflow heap, past heap).
+The file keeps the name of the calendar queue the heap kernel replaced;
+the contract is unchanged.  The queue must be observationally identical
+to the seed heap kernel (:class:`HeapEventQueue`) for every
+push/push_raw/pop/cancel interleaving — same events, same order, bit for
+bit — and must pop exactly the ``(time, seq)`` order of its live
+entries.
 """
 
 import random
 
 import pytest
 
-from repro.engine.calendar import DEFAULT_WINDOW, CalendarQueue
-from repro.engine.event import EventQueue, HeapEventQueue
+from repro.engine.event import EventQueue
 from repro.engine.simulator import SimulationError, Simulator
+from tests.reference_engines import HeapEventQueue
 
 
 def _noop():
@@ -34,32 +36,44 @@ class TestDifferentialEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_schedule_matches_heap(self, seed):
         rng = random.Random(seed)
-        cal, heap = EventQueue(), HeapEventQueue()
+        queue, heap = EventQueue(), HeapEventQueue()
+        live = {}  # seq -> (time, handle or None); seq counts every push
+        pushes = 0
         now = 0
-        popped_cal, popped_heap = [], []
-        handles = []
-        for step in range(2000):
+        for _ in range(2000):
             action = rng.random()
             if action < 0.55:
-                # Mix of near-future (ring), far-future (overflow
-                # heap) and same-cycle (FIFO tie-break) pushes.
-                delay = rng.choice(
-                    (0, 1, rng.randrange(64), rng.randrange(5 * DEFAULT_WINDOW))
-                )
-                handles.append((cal.push(now + delay, _noop),
-                                heap.push(now + delay, _noop)))
-            elif action < 0.75 and handles:
-                pair = handles.pop(rng.randrange(len(handles)))
-                for handle in pair:
-                    handle.cancel()
-            else:
-                a, b = cal.pop(), heap.pop()
-                if a is None:
-                    assert b is None
+                # Same-cycle (FIFO tie-break), near and far pushes.
+                time = now + rng.choice((0, 1, rng.randrange(64),
+                                         rng.randrange(20_000)))
+                if rng.random() < 0.5:
+                    handle = (queue.push(time, _noop),
+                              heap.push(time, _noop))
+                    assert handle[0].seq == pushes
                 else:
-                    assert (a.time, a.seq) == (b.time, b.seq)
+                    handle = None
+                    queue.push_raw(time, _noop, ())
+                    heap.push_raw(time, _noop, ())
+                live[pushes] = (time, handle)
+                pushes += 1
+            elif action < 0.75:
+                cancellable = [seq for seq, (_, h) in live.items() if h]
+                if cancellable:
+                    seq = rng.choice(cancellable)
+                    for handle in live.pop(seq)[1]:
+                        handle.cancel()
+            else:
+                a, b = queue.pop(), heap.pop()
+                if live:
+                    seq = min(live, key=lambda k: (live[k][0], k))
+                    assert (a.time, a.seq) == (b.time, b.seq) == (
+                        live.pop(seq)[0], seq)
                     now = a.time
-        assert drain_labels(cal) == drain_labels(heap)
+                else:
+                    assert a is None and b is None
+            assert len(queue) == len(live)
+        expected = sorted((time, seq) for seq, (time, _) in live.items())
+        assert drain_labels(queue) == drain_labels(heap) == expected
 
     def test_same_cycle_fifo_order(self):
         queue = EventQueue()
@@ -68,15 +82,14 @@ class TestDifferentialEquivalence:
         assert [e.seq for e in order] == [e.seq for e in events]
 
     def test_overflow_migration_preserves_fifo(self):
-        # Events far beyond the window land in the overflow heap; once
-        # the floor advances they migrate into ring buckets.  Events
-        # later pushed directly to the same cycle must fire *after* the
-        # migrated ones (lower seq first).
+        # Far-future events pushed before the clock advances and
+        # events pushed to the same cycle afterwards fire in push
+        # order (lower seq first).
         queue = EventQueue()
-        far = 3 * DEFAULT_WINDOW
+        far = 3 * 4096
         early_batch = [queue.push(far, _noop) for _ in range(8)]
-        stepper = queue.push(DEFAULT_WINDOW + 1, _noop)
-        assert queue.pop() is stepper  # floor advances past the window
+        stepper = queue.push(4096 + 1, _noop)
+        assert queue.pop() is stepper
         late_batch = [queue.push(far, _noop) for _ in range(8)]
         fired = [queue.pop() for _ in range(16)]
         assert fired == early_batch + late_batch
@@ -85,7 +98,7 @@ class TestDifferentialEquivalence:
 class TestRegions:
     def test_past_time_raw_push_still_sorts(self):
         # The raw queue API (no Simulator) accepts pushes behind the
-        # floor; they sort before everything else.
+        # last popped time; they sort before everything else.
         queue = EventQueue()
         queue.push(100, _noop)
         assert queue.pop().time == 100
@@ -94,7 +107,7 @@ class TestRegions:
         assert queue.pop() is behind
         assert queue.pop() is ahead
 
-    @pytest.mark.parametrize("delay", [0, 3, DEFAULT_WINDOW * 2])
+    @pytest.mark.parametrize("delay", [0, 3, 8192])
     def test_cancellation_in_each_region(self, delay):
         queue = EventQueue()
         doomed = queue.push(delay, _noop)
@@ -104,21 +117,15 @@ class TestRegions:
         assert queue.pop() is None
 
     def test_cancelled_event_behind_front_cache(self):
+        # peek_time() must not report a head that was cancelled after
+        # it was peeked.
         queue = EventQueue()
         first = queue.push(5, _noop)
-        assert queue.peek_time() == 5  # primes the front cache
+        assert queue.peek_time() == 5
         first.cancel()
         second = queue.push(9, _noop)
         assert queue.peek_time() == 9
         assert queue.pop() is second
-
-    def test_physical_size_counts_all_regions(self):
-        calendar = CalendarQueue(window=16)
-        queue = EventQueue(window=16)
-        queue._calendar = calendar
-        queue.push(1, _noop)          # ring
-        queue.push(1000, _noop)       # overflow heap
-        assert calendar.physical_size() == 2
 
 
 class TestLiveCount:
@@ -141,9 +148,8 @@ class TestLiveCount:
         assert len(queue) == 1
 
     def test_drain_ignores_cancelled_backlog(self):
-        # Regression: drain()'s runaway check used to misfire when the
-        # physical queue still held cancelled tombstones after exactly
-        # max_events real events.
+        # drain()'s runaway check must not misfire when the heap still
+        # holds cancelled tombstones after exactly max_events real events.
         sim = Simulator()
         for i in range(10):
             sim.at(i, _noop)
@@ -153,31 +159,18 @@ class TestLiveCount:
 
 
 class TestRecycling:
-    def test_fired_events_are_recycled(self):
-        queue = EventQueue()
-        queue.push(1, _noop)
-
-        def pop_and_recycle(q):
-            # Mirrors the run loop's call shape (one local reference).
-            event = q.pop()
-            q.recycle(event)
-
-        pop_and_recycle(queue)
-        if queue.free_list_size == 0:
-            pytest.skip("recycling disabled on this interpreter")
-        assert queue.free_list_size == 1
-        reused = queue.push(2, _noop)
-        assert queue.free_list_size == 0
-        assert not reused.cancelled
-        assert queue.pop() is reused
-
     def test_held_handle_is_never_recycled(self):
+        # A handle stays the object it was after delivery: later pushes
+        # never reuse it, so a late cancel() can only touch itself.
         queue = EventQueue()
         held = queue.push(1, _noop)
-        event = queue.pop()
-        queue.recycle(event)
-        assert queue.free_list_size == 0  # `held` still references it
-        assert held is event
+        assert queue.pop() is held
+        later = queue.push(2, _noop)
+        assert later is not held
+        held.cancel()
+        assert (held.time, held.seq) == (1, 0)
+        assert not later.cancelled
+        assert queue.pop() is later
 
 
 class TestSimulatorIntegration:
@@ -198,73 +191,83 @@ class TestSimulatorIntegration:
         with pytest.raises(SimulationError):
             sim.at(4, _noop)
 
+    def test_tombstones_neither_count_nor_move_the_clock(self):
+        sim = Simulator()
+        sim.at(5, _noop)
+        sim.at(9, _noop).cancel()
+        assert sim.run() == 1
+        assert sim.now == 5
+        assert len(sim.events) == 0
+
 
 class TestCompletionBatchHalt:
-    """stop() raised mid-batch must halt delivery at that callback.
+    """stop() called among same-cycle completions halts at that callback.
 
-    The unfolded kernel stops at the event boundary; a same-cycle
-    completion batch is many logical events sharing one carrier, so the
-    batch must freeze its undelivered tail when a callback calls
-    ``stop()`` — otherwise the folded fast path observably over-delivers
-    relative to the serial schedule (and to every sharded backend).
+    Memory completions landing in one cycle are separate raw entries
+    (they once shared one batch carrier); a callback that calls
+    ``stop()`` must leave the rest of its cycle undelivered — on the
+    fused loop and on the peeking loop alike — and the next ``run()``
+    must deliver them first.
     """
+
+    @staticmethod
+    def _stop_among_three(sim, fired, time=5, raw=True):
+        def stopper():
+            fired.append("b")
+            sim.stop()
+
+        schedule = sim.post_at if raw else sim.at
+        schedule(time, fired.append, "a")
+        schedule(time, stopper)
+        schedule(time, fired.append, "c")
 
     def test_stop_mid_batch_freezes_tail(self):
         sim = Simulator()
         fired = []
-        sim.batch_at(5, fired.append, "a")
-        sim.batch_at(5, lambda: (fired.append("b"), sim.stop()))
-        sim.batch_at(5, fired.append, "c")
-        sim.run()
+        self._stop_among_three(sim, fired)
+        assert sim.run() == 2
         assert fired == ["a", "b"]
+        assert len(sim.events) == 1
 
     def test_resume_delivers_frozen_tail(self):
         sim = Simulator()
         fired = []
-        sim.batch_at(5, fired.append, "a")
-        sim.batch_at(5, lambda: (fired.append("b"), sim.stop()))
-        sim.batch_at(5, fired.append, "c")
-        sim.batch_at(9, fired.append, "d")
+        self._stop_among_three(sim, fired)
+        sim.post_at(9, fired.append, "d")
         sim.run()
         assert fired == ["a", "b"]
-        sim.run()  # resume: frozen tail first, then later work
+        sim.run()  # resume: the same-cycle tail first, then later work
         assert fired == ["a", "b", "c", "d"]
         assert sim.now == 9
 
     def test_halt_matches_unbatched_schedule(self):
-        # Differential: the same three completions as plain events.
-        plain = Simulator()
-        fired_plain = []
-        plain.at(5, fired_plain.append, "a")
-        plain.at(5, lambda: (fired_plain.append("b"), plain.stop()))
-        plain.at(5, fired_plain.append, "c")
+        # Differential: handle events and raw entries halt identically.
+        plain, fired_plain = Simulator(), []
+        self._stop_among_three(plain, fired_plain, raw=False)
         plain.run()
-
-        batched = Simulator()
-        fired_batched = []
-        batched.batch_at(5, fired_batched.append, "a")
-        batched.batch_at(5, lambda: (fired_batched.append("b"),
-                                     batched.stop()))
-        batched.batch_at(5, fired_batched.append, "c")
-        batched.run()
-        assert fired_batched == fired_plain == ["a", "b"]
+        raw, fired_raw = Simulator(), []
+        self._stop_among_three(raw, fired_raw)
+        raw.run()
+        assert fired_raw == fired_plain == ["a", "b"]
+        assert plain.now == raw.now == 5
 
     def test_halt_respected_under_delivery_observer(self):
+        # A stop_when predicate routes run() through the peeking loop,
+        # which must honour stop() between same-cycle entries too.
         sim = Simulator()
-        observed = []
-        sim.events._batches.delivery_observer = observed.append
         fired = []
-        sim.batch_at(3, fired.append, "a")
-        sim.batch_at(3, lambda: (fired.append("b"), sim.stop()))
-        sim.batch_at(3, fired.append, "c")
-        sim.run(stop_when=lambda: sim._stop)
+        polls = []
+        self._stop_among_three(sim, fired, time=3)
+        sim.run(stop_when=lambda: polls.append(sim.now) or False)
         assert fired == ["a", "b"]
-        assert len(observed) == 2  # observer saw exactly the delivered two
+        # Polled before "a" and before "b"; stop() ends the loop before
+        # a third poll could let "c" through.
+        assert polls == [0, 3]
 
     def test_next_run_clears_stale_halt(self):
         sim = Simulator()
-        sim.stop()  # set halt without any batch in flight
+        sim.stop()  # set the flag with nothing in flight
         fired = []
-        sim.batch_at(2, fired.append, "x")
+        sim.post_at(2, fired.append, "x")
         sim.run()
         assert fired == ["x"]

@@ -1,18 +1,18 @@
-"""End-to-end determinism of the fast-path kernel.
+"""End-to-end determinism of the event kernel.
 
-The calendar queue, event recycling and the tight run loop are only
-admissible if they are *invisible*: repeated runs must agree bit for
-bit, and a full multi-tenant simulation must produce identical results
-under the calendar kernel and the seed heap kernel.
+Same-cycle events must fire in schedule order, repeated runs of a
+full multi-tenant simulation must agree bit for bit, and the heap kernel
+must produce the same simulation as the seed heap kernel
+(:class:`HeapEventQueue`, one ``Event`` per push).
 """
 
 import repro.engine.simulator as simulator_module
 from repro.engine.config import GpuConfig
-from repro.engine.event import HeapEventQueue
 from repro.engine.simulator import Simulator
 from repro.tenancy.manager import MultiTenantManager
 from repro.tenancy.tenant import Tenant
 from repro.workloads.suite import benchmark
+from tests.reference_engines import HeapEventQueue
 
 SCALE = 0.05
 
@@ -77,12 +77,12 @@ class TestRepeatedRuns:
 
 class TestKernelEquivalence:
     def test_calendar_matches_heap_kernel(self):
-        calendar = run_pair()
+        shipping = run_pair()
         heap = run_pair(kernel=HeapEventQueue)
-        assert fingerprint(calendar) == fingerprint(heap)
+        assert fingerprint(shipping) == fingerprint(heap)
 
     def test_equivalence_holds_across_policies(self):
         for policy in ("baseline", "dwspp"):
-            calendar = run_pair(policy=policy)
+            shipping = run_pair(policy=policy)
             heap = run_pair(policy=policy, kernel=HeapEventQueue)
-            assert fingerprint(calendar) == fingerprint(heap)
+            assert fingerprint(shipping) == fingerprint(heap)

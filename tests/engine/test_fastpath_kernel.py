@@ -1,123 +1,59 @@
-"""Unit tests for the fast-path kernel primitives behind latency folding:
+"""Unit tests for the kernel's hot-path primitives:
 
-* :class:`CompletionBatches` — per-timestamp batched completion lists;
-* ``schedule_batch`` — one carrier event per distinct timestamp;
 * ``push_raw`` — handle-free raw entries, FIFO-ordered against Events;
 * ``run_fast`` — the fused pop/fire loop, equivalent to the pop loop.
 """
 
-import pytest
-
-from repro.engine.calendar import CompletionBatches
-from repro.engine.event import EventQueue, HeapEventQueue
+from repro.engine.event import Event, EventQueue
 from repro.engine.simulator import Simulator
+from tests.reference_engines import HeapEventQueue
 
 
-class TestCompletionBatches:
-    def test_first_add_requests_carrier(self):
-        batches = CompletionBatches()
-        assert batches.add(5, lambda: None) is True
-        assert batches.add(5, lambda: None) is False
-        assert batches.add(6, lambda: None) is True
-        assert len(batches) == 2
-        assert batches.pending_callbacks() == 3
-
-    def test_fire_delivers_in_insertion_order_with_args(self):
-        batches = CompletionBatches()
-        order = []
-        batches.add(9, order.append, (1,))
-        batches.add(9, order.append, (2,))
-        batches.add(9, order.append, (3,))
-        batches.fire(9)
-        assert order == [1, 2, 3]
-        assert len(batches) == 0
-        assert batches.pending_callbacks() == 0
-
-    def test_delivery_observer_sees_each_callback(self):
-        batches = CompletionBatches()
-        seen = []
-        batches.delivery_observer = seen.append
-        fn_a, fn_b = (lambda: None), (lambda: None)
-        batches.add(3, fn_a)
-        batches.add(3, fn_b)
-        batches.fire(3)
-        assert seen == [fn_a, fn_b]
-
-
-@pytest.mark.parametrize("queue_cls", [EventQueue, HeapEventQueue])
-class TestScheduleBatch:
-    def test_one_carrier_per_timestamp(self, queue_cls):
-        sim = Simulator()
-        sim.events = queue_cls()
-        fired = []
-        for i in range(4):
-            sim.events.schedule_batch(10, fired.append, (i,))
-        sim.events.schedule_batch(20, fired.append, (99,))
-        # 4 same-cycle callbacks + 1 at another cycle = 2 carrier events
-        assert len(sim.events) == 2
-        events = sim.run()
-        assert events == 2
-        assert fired == [0, 1, 2, 3, 99]
-        assert sim.now == 20
-
-    def test_batch_fires_at_carrier_position(self, queue_cls):
-        """A batch drains where its carrier sits in same-cycle FIFO
-        order: callbacks batched before an ordinary push fire before
-        it, late additions to the same batch still ride the original
-        carrier."""
-        sim = Simulator()
-        sim.events = queue_cls()
-        order = []
-        sim.events.schedule_batch(7, order.append, ("batch-early",))
-        sim.events.push_raw(7, order.append, ("event",))
-        sim.events.schedule_batch(7, order.append, ("batch-late",))
-        sim.run()
-        assert order == ["batch-early", "batch-late", "event"]
+def _noop():
+    pass
 
 
 class TestRawEntries:
     def test_raw_and_event_pushes_share_fifo_order(self):
         queue = EventQueue()
         reference = HeapEventQueue()
-        schedule = [
-            (5, "a"), (3, "b"), (5, "c"), (3, "d"), (5, "e"), (4, "f"),
-        ]
+        schedule = [(5, "a"), (3, "b"), (5, "c"), (3, "d"), (5, "e"),
+                    (4, "f")]
         for i, (time, tag) in enumerate(schedule):
             if i % 2:
-                queue.push(time, lambda: None)
-                reference.push(time, lambda: None)
+                queue.push(time, tag)
+                reference.push(time, tag)
             else:
-                queue.push_raw(time, lambda: None, ())
-                reference.push_raw(time, lambda: None, ())
-        order = []
-        ref_order = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            order.append((event.time,))
-        while True:
-            event = reference.pop()
-            if event is None:
-                break
-            ref_order.append((event.time,))
-        assert order == ref_order == sorted(ref_order)
+                queue.push_raw(time, tag, ())
+                reference.push_raw(time, tag, ())
+        orders = []
+        for q in (queue, reference):
+            order = []
+            while True:
+                event = q.pop()
+                if event is None:
+                    break
+                order.append(event.fn)
+            orders.append(order)
+        assert orders[0] == orders[1] == ["b", "d", "f", "a", "c", "e"]
 
     def test_push_raw_far_future_falls_back_to_event(self):
-        """Raw entries outside the calendar ring window must still land
-        (wrapped as Events in the heap region) and keep time order."""
+        """Raw entries, near or far in the future, keep time order and
+        pop wrapped as Events."""
         queue = EventQueue()
-        queue.push_raw(10, lambda: None, ())
-        queue.push_raw(10_000_000, lambda: None, ())
+        queue.push_raw(10_000_000, _noop, ())
+        queue.push_raw(10, _noop, ())
         assert len(queue) == 2
         first = queue.pop()
         second = queue.pop()
         assert (first.time, second.time) == (10, 10_000_000)
+        assert (first.seq, second.seq) == (1, 0)
+        assert isinstance(first, Event) and isinstance(second, Event)
 
     def test_live_count_tracks_raw_entries(self):
         queue = EventQueue()
-        queue.push_raw(1, lambda: None, ())
-        queue.push_raw(2, lambda: None, ())
+        queue.push_raw(1, _noop, ())
+        queue.push_raw(2, _noop, ())
         assert len(queue) == 2
         queue.pop()
         assert len(queue) == 1
@@ -137,6 +73,7 @@ class TestRunFastEquivalence:
         for i, tag in enumerate("abcd"):
             sim.events.push_raw(i % 2, reschedule, (tag, 2))
         sim.events.push(1, reschedule, "ev", 1)
+        sim.events.push(1, reschedule, "dropped", 0).cancel()
 
     def test_fused_loop_matches_pop_loop(self):
         fast_sim = Simulator()

@@ -145,13 +145,12 @@ class TestRecordCodecs:
             (41, key, 2, NOC, (7, 0xF000, True, 12, 1)),
             (42, key, 3, WARP_DONE, (0, 9)),
         ]
-        body = encode_reply(enc, 17, (40, key, 0), 5, 1000, 2, 31415,
+        body = encode_reply(enc, 17, (40, key, 0), 5, 1000, 31415,
                             [(0, 10), (1, 20)], intents)
         reply = decode_reply(dec, body)
         assert reply["fired"] == 17
         assert reply["qlen"] == 5
         assert reply["floor_off"] == 1000
-        assert reply["unfolded"] == 2
         assert reply["work_ns"] == 31415
         assert reply["instr"] == [(0, 10), (1, 20)]
         codes = [rec[3] for rec in reply["intents"]]
@@ -183,7 +182,7 @@ class TestRecordCodecs:
     def test_unknown_intent_code_rejected(self):
         enc, _ = _mirror_codecs()
         with pytest.raises(WireError):
-            encode_reply(enc, 0, None, 0, 0, 0, 0, [],
+            encode_reply(enc, 0, None, 0, 0, 0, [],
                          [(0, None, 0, 250, ())])
 
 

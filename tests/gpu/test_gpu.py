@@ -167,3 +167,27 @@ class TestMaskIntegration:
         gpu.launch_warps(0, [stream([WarpOp(0, [0x1000])])])
         sim.drain()
         assert gpu.mask._lookups_this_epoch > 0
+
+
+def test_mshr_stall_counters_present_at_zero():
+    """The hoisted per-SM mshr_stalls counters must appear in every
+    snapshot, zero-valued when no stall occurred, so a stalling and a
+    non-stalling run of one config stay key-identical."""
+    import dataclasses
+
+    from repro.tenancy.manager import MultiTenantManager
+    from repro.tenancy.tenant import Tenant
+    from repro.workloads.base import Workload
+    from repro.workloads.suite import BENCHMARKS
+
+    # An L1-resident HS variant: no translation ever stalls.
+    resident = dataclasses.replace(BENCHMARKS["HS"], name="HSR",
+                                   footprint_bytes=4096)
+    manager = MultiTenantManager(GpuConfig.baseline(num_sms=4),
+                                 [Tenant(0, Workload(resident, 0.5))],
+                                 warps_per_sm=1, seed=3)
+    result = manager.run()
+    keys = [k for k in result.stats
+            if k.startswith("l1tlb.") and k.endswith(".mshr_stalls")]
+    assert len(keys) == manager.config.sm.num_sms
+    assert all(result.stats[k] == 0 for k in keys)

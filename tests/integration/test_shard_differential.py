@@ -195,32 +195,6 @@ def test_env_selects_parallel_kernel():
         os.environ.pop(SHARDS_ENV, None)
 
 
-def test_walk_fold_switch_does_not_affect_shards():
-    """Shards force-disable every fold rung regardless of the
-    environment: with ``REPRO_FASTPATH_WALK`` explicitly set, a sharded
-    run must still match the serial oracle byte for byte, and the
-    sharded GPU's fold gates must be closed (the fold's quiescence
-    arguments assume a single global event order that shard-local
-    windows do not provide)."""
-    os.environ["REPRO_FASTPATH_WALK"] = "1"
-    try:
-        def pair():
-            return [Workload(RESIDENT_SPEC, RESIDENT_SCALE),
-                    Workload(RESIDENT_SPEC, RESIDENT_SCALE)]
-
-        sharded, manager = run_once(pair(), "dws", shards=4, warps=1)
-        serial, _ = run_once(pair(), "dws", shards=1, warps=1)
-    finally:
-        os.environ.pop("REPRO_FASTPATH_WALK", None)
-    assert observable(sharded) == observable(serial)
-    assert manager.gpu.fold_enabled is False
-    assert manager.gpu.fold_walk_enabled is False
-    stats = manager.gpu.fastpath_stats()
-    assert stats["folded_l2_tlb_hits"] == 0
-    assert stats["folded_walks"] == 0
-    assert stats["batched_dram_fetches"] == 0
-
-
 def test_shards_clamped_to_sm_count():
     """A shard must own at least one SM: K > num_sms clamps to num_sms."""
     wl = [Workload(RESIDENT_SPEC, RESIDENT_SCALE)]

@@ -1,105 +1,10 @@
-"""``probe_fast`` equivalence: the side-effect-complete hit probes used
-by the latency-folding path must leave the component in exactly the
-state the ordinary event-path access would, and report the same
-completion time."""
+"""``Tlb.probe_fast`` equivalence: the per-access L1-TLB probe must
+leave the TLB in exactly the state :meth:`Tlb.lookup` would, and report
+the hit latency on a hit."""
 
-from repro.engine.config import CacheConfig, TlbConfig
+from repro.engine.config import TlbConfig
 from repro.engine.simulator import Simulator
-from repro.mem.cache import Cache
 from repro.vm.tlb import Tlb
-
-
-class InstantMemory:
-    def __init__(self, sim, latency=50):
-        self.sim = sim
-        self.latency = latency
-
-    def access(self, addr, is_write, on_done, tenant_id=0):
-        self.sim.after(self.latency, on_done)
-
-
-def make_cache(**overrides):
-    sim = Simulator()
-    params = dict(size_bytes=1024, line_bytes=64, associativity=2,
-                  hit_latency=3, mshr_entries=4, banks=2)
-    params.update(overrides)
-    cache = Cache(sim, CacheConfig(**params), InstantMemory(sim), name="c")
-    return sim, cache
-
-
-def warm(sim, cache, addrs):
-    for addr in addrs:
-        cache.access(addr, False, lambda: None)
-    sim.drain()
-
-
-def snapshot(cache):
-    return (
-        [dict(s) for s in cache._sets],
-        list(cache._bank_free),
-        dict(cache._mshrs),
-        cache.sim.stats.counter("c.hits").value,
-        cache.sim.stats.counter("c.misses").value,
-    )
-
-
-class TestCacheProbeFast:
-    def test_hit_matches_access_completion_and_state(self):
-        """Probe a warm line via probe_fast on one cache and via
-        access() on an identically warmed twin: same completion cycle,
-        same end state."""
-        sim_a, fast = make_cache()
-        sim_b, slow = make_cache()
-        warm(sim_a, fast, [0x100, 0x180])
-        warm(sim_b, slow, [0x100, 0x180])
-        at = sim_a.now = sim_b.now = max(sim_a.now, sim_b.now)
-
-        done = fast.probe_fast(0x100, False, at)
-        completed = []
-        slow.access(0x100, False, lambda: completed.append(sim_b.now))
-        sim_b.drain()
-        assert done == completed[0]
-        # The hit tick is deferred to the probe cycle (it must fire or
-        # drop exactly with the event-path probe across a stop); drain
-        # so both sides have counted.
-        sim_a.drain()
-        assert snapshot(fast) == snapshot(slow)
-
-    def test_write_probe_marks_dirty_and_touches_lru(self):
-        sim, cache = make_cache()
-        warm(sim, cache, [0x100])
-        line = 0x100 // 64
-        cache_set = cache._sets[line % cache._num_sets]
-        assert cache_set[line] is False
-        done = cache.probe_fast(0x100, True, sim.now)
-        assert done >= sim.now + 3
-        assert cache_set[line] is True
-        assert next(reversed(cache_set)) == line  # MRU position
-
-    def test_miss_returns_minus_one_and_touches_nothing(self):
-        sim, cache = make_cache()
-        warm(sim, cache, [0x100])
-        before = snapshot(cache)
-        assert cache.probe_fast(0x4000, False, sim.now) == -1
-        assert snapshot(cache) == before
-
-    def test_bank_reservation_serializes_successive_probes(self):
-        """Two fast probes of lines on the same bank at one cycle must
-        stack their bank occupancy exactly like two queued accesses."""
-        sim, cache = make_cache(banks=1)
-        warm(sim, cache, [0x100, 0x180])
-        at = sim.now
-        first = cache.probe_fast(0x100, False, at)
-        second = cache.probe_fast(0x180, False, at)
-        assert second == first + cache.bank_cycles
-
-    def test_fast_ready_tracks_mshrs_and_overflow(self):
-        sim, cache = make_cache()
-        assert cache.fast_ready()
-        cache.access(0x2000, False, lambda: None)  # outstanding miss
-        assert not cache.fast_ready()
-        sim.drain()
-        assert cache.fast_ready()
 
 
 class TestTlbProbeFast:
