@@ -454,6 +454,19 @@ def _pws_update_busy(self, tenant_id, delta):
     ).update(self.sim.now, level / max(1, len(self.walkers)))
 
 
+def _cache_bank_of(self, line):
+    return line % self.config.banks
+
+
+def _cache_bank_latency(self, line):
+    """Hit latency plus bank serialization delay."""
+    bank = self._bank_of(line)
+    now = self.sim.now
+    start = max(now, self._bank_free[bank])
+    self._bank_free[bank] = start + self.bank_cycles
+    return (start - now) + self.config.hit_latency
+
+
 def _cache_access(self, addr, is_write, on_done, tenant_id=0):
     line = self.line_of(addr)
     latency = self._bank_latency(line)
@@ -662,6 +675,8 @@ _PATCHES = [
     (PageWalkSubsystem, "note_service_start", _pws_note_service_start),
     (PageWalkSubsystem, "note_completion", _pws_note_completion),
     (PageWalkSubsystem, "_update_busy", _pws_update_busy),
+    (Cache, "_bank_of", _cache_bank_of),
+    (Cache, "_bank_latency", _cache_bank_latency),
     (Cache, "access", _cache_access),
     (Cache, "_drain_overflow", _cache_drain_overflow),
     (Dram, "access", _dram_access),

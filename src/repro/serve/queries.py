@@ -109,6 +109,12 @@ class PlacementQuery:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}; "
                              f"known: {', '.join(sorted(OBJECTIVES))}")
+        for knob in ("l2_tlb_entries", "walker_count"):
+            value = getattr(self, knob)
+            # bool is an int subclass; 1024.0 would hash like 1024 in
+            # the server's job memo yet address a different cache entry.
+            if value is not None and (type(value) is not int or value <= 0):
+                raise ValueError(f"{knob} must be a positive integer")
         if self.deadline_s is not None and self.deadline_s < 0:
             raise ValueError("deadline_s must be non-negative")
 

@@ -29,6 +29,7 @@ checkpoints first and wakes every waiter with a typed degraded answer.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import signal
 import threading
@@ -62,6 +63,9 @@ SERVE_DIR = "serve"
 #: bounded answers, not open-ended paper-accuracy sweeps; callers sizing
 #: a production service can raise it.
 DEFAULT_SERVE_MAX_EVENTS = 50_000_000
+
+#: Bound on the per-server (mix, knobs, policy) -> (job, key) memo.
+JOB_MEMO_MAX = 4096
 
 
 class ServeManifest:
@@ -150,10 +154,13 @@ class ReproServer:
         self._test_gate = threading.Event()
         self._test_gate.set()
         self._executor: Optional[threading.Thread] = None
-        self._lock = threading.Lock()           # tiers + manifest writes
+        self._lock = threading.Lock()   # tiers, manifest, job memo writes
         self._tiers: Dict[str, int] = {status: 0 for status in STATUS_ORDER}
         #: ticket key -> (names, policy, tlb, walkers) for index updates
         self._ticket_meta: Dict[str, Tuple] = {}
+        #: (workloads, tlb, walkers, policy) -> (job, key).  Exact because
+        #: scale, warps and max_events are fixed for the server's life.
+        self._jobs: Dict[Tuple, Tuple[Job, str]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -286,17 +293,32 @@ class ReproServer:
 
     # ------------------------------------------------------------------
     def _job_for(self, query: PlacementQuery, policy: str) -> Job:
-        config = query.config().with_policy(policy)
-        job = Job(label="provisional", names=query.workloads, config=config,
+        return self._job_and_key(query, policy)[0]
+
+    def _job_and_key(self, query: PlacementQuery,
+                     policy: str) -> Tuple[Job, str]:
+        """The component's job and its ``job_key``, hashed once per
+        (mix, knobs, policy) for the server's lifetime."""
+        memo_key = (query.workloads, query.l2_tlb_entries,
+                    query.walker_count, policy)
+        memo = self._jobs.get(memo_key)
+        if memo is not None:
+            return memo
+        job = Job(label="provisional", names=query.workloads,
+                  config=query.config().with_policy(policy),
                   scale=self.scale, warps_per_sm=self.warps_per_sm,
                   max_events=self.max_events)
-        jkey = job_key(job)
+        jkey = job_key(job)  # the label is not part of the key
         # The label carries the cache key so supervision's per-label
         # ledgers (attempts, quarantine) stay distinct per configuration.
         label = f"serve:{'.'.join(query.workloads)}/{policy}:{jkey[:8]}"
-        return Job(label=label, names=job.names, config=job.config,
-                   scale=job.scale, warps_per_sm=job.warps_per_sm,
-                   seed=job.seed, max_events=job.max_events)
+        job = dataclasses.replace(job, label=label)
+        memo = (job, jkey)
+        with self._lock:
+            if len(self._jobs) >= JOB_MEMO_MAX:
+                self._jobs.clear()  # a bound, not a cache policy
+            self._jobs[memo_key] = memo
+        return memo
 
     def _estimate(self, query: PlacementQuery,
                   policy: str) -> Optional[Dict]:
@@ -307,8 +329,10 @@ class ReproServer:
     def _component(self, query: PlacementQuery, policy: str,
                    deadline_abs: float) -> Tuple[str, Optional[Dict], str]:
         """Resolve one (mix, policy) pair: exact -> simulate -> estimate."""
-        job = self._job_for(query, policy)
-        jkey = job_key(job)
+        try:
+            job, jkey = self._job_and_key(query, policy)
+        except ValueError as exc:  # e.g. TLB entries not a multiple of ways
+            return STATUS_REJECTED, None, f"invalid configuration: {exc}"
 
         cached = self.cache.get(jkey)
         if cached is not None:
@@ -434,6 +458,10 @@ class ReproServer:
 class _ServeHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: headers and body go out in two sends, and Nagle
+    #: holding the second until the client's delayed ACK costs a
+    #: keep-alive client ~40 ms per answer.
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # noqa: N802 (stdlib name)
         pass  # the health endpoint is the observability surface

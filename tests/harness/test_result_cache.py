@@ -54,6 +54,52 @@ class TestJobKey:
         assert job_key(bigger_tlb) != job_key(base)
 
 
+#: job_key digests recorded before the serve exact tier started
+#: memoizing keys.  A change here orphans every user's cache silently,
+#: so a mismatch means the key scheme moved, not that the pin is stale.
+PINNED_KEYS = {
+    "baseline":
+        "a9b512e21e26bf9496e0b052eaa9075b5de035dd37b677dac16a16998bcf04e6",
+    "dws":
+        "82c4e48781899d62568a6967c2f0381c69600c13bad3fde0c8e20daf57b4e732",
+    "dwspp":
+        "097c27150469e2cdaf7fcdaa1729fea3b178d234d3558bd49df724c0a4df7b3f",
+    "S-TLB":
+        "a89f6cc3d40a923833cbba699d492f620ed8d07fbc6290b6a58cc50389cf3074",
+    "S-(TLB+PTW)":
+        "081489f56648b95502ca4e45ef8b28dd3edfebc5859acbb022f6f3ffda73646d",
+    "64KB pages":
+        "77f6dc7e93d32c58ecc19ec27838a4c9b7477547c5e3b9abf5b7a0bf7217a9b0",
+    "tlb512 ptw8":
+        "89dcb3e42d9800e137ffe517d429c280762e0940513d9d42c9d387a7e9f44673",
+}
+
+
+def pinned_config(name):
+    base = GpuConfig.baseline()
+    return {
+        "baseline": lambda: base.with_policy("baseline"),
+        "dws": lambda: base.with_policy("dws"),
+        "dwspp": lambda: base.with_policy("dwspp"),
+        "S-TLB": base.with_separate_tlb,
+        "S-(TLB+PTW)": base.with_separate_tlb_and_walkers,
+        "64KB pages": lambda: base.with_page_size_bits(16),
+        "tlb512 ptw8":
+            lambda: base.with_l2_tlb_entries(512).with_walker_count(8),
+    }[name]()
+
+
+class TestPinnedKeys:
+    def test_cache_format_is_pinned(self):
+        assert CACHE_FORMAT == 4
+
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_job_key_digest_is_pinned(self, name):
+        job = Job(label=f"pin:{name}", names=("GUPS", "SAD"),
+                  config=pinned_config(name), scale=0.05, warps_per_sm=2)
+        assert job_key(job) == PINNED_KEYS[name]
+
+
 class TestResultCacheStorage:
     def test_roundtrip_and_counters(self, tmp_path):
         cache = ResultCache(tmp_path)

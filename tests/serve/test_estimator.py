@@ -87,6 +87,21 @@ class TestServeIndex:
         assert len(reloaded) == 1
         assert reloaded.estimate(("GUPS",), "baseline")["total_ipc"] == 2.5
 
+    def test_unchanged_entry_is_not_rewritten(self, tmp_path):
+        index = ServeIndex(tmp_path)
+        index.record(("GUPS",), "baseline", None, None, metrics(2.5))
+        path = tmp_path / INDEX_FILE
+        before = path.stat()
+        index.record(("GUPS",), "baseline", None, None, metrics(2.5))
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) \
+            == (before.st_ino, before.st_mtime_ns)
+        # A changed entry is still written through.
+        index.record(("GUPS",), "baseline", None, None, metrics(3.0))
+        assert path.stat().st_ino != before.st_ino
+        assert ServeIndex(tmp_path).estimate(
+            ("GUPS",), "baseline")["total_ipc"] == 3.0
+
     def test_corrupt_index_file_starts_empty(self, tmp_path):
         (tmp_path / INDEX_FILE).write_text("{not json")
         index = ServeIndex(tmp_path)

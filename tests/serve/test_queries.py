@@ -41,6 +41,10 @@ class TestValidation:
         dict(kind="best_policy", candidates=("nope",)),
         dict(objective="nope"),
         dict(deadline_s=-1.0),
+        dict(l2_tlb_entries=1024.0),
+        dict(l2_tlb_entries=0),
+        dict(walker_count=True),
+        dict(walker_count="8"),
     ])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ValueError):

@@ -1,14 +1,22 @@
 """ReproServer behaviour: tiers, deadlines, health, HTTP front-end."""
 
 import json
+import statistics
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 import pytest
 
+from repro.engine.config import GpuConfig
+from repro.harness.parallel import Job, run_jobs
+from repro.harness.result_cache import job_key
+from repro.serve import server as server_module
 from repro.serve.client import ServeClient, ServeUnavailable
+from repro.serve.estimator import INDEX_FILE, ServeIndex
 from repro.serve.health import health_snapshot, ready_snapshot
 from repro.serve.queries import (
     STATUS_EXACT,
@@ -19,7 +27,7 @@ from repro.serve.queries import (
 )
 from repro.serve.server import ServeHTTPServer
 
-from .conftest import DEADLINE, make_server
+from .conftest import DEADLINE, MAX_EVENTS, SCALE, make_server
 
 
 def wait_until(predicate, timeout=30.0, interval=0.02):
@@ -75,6 +83,12 @@ class TestTiers:
         ipcs = {p: c["metrics"]["total_ipc"]
                 for p, c in payload["candidates"].items()}
         assert payload["best_policy"] == max(ipcs, key=ipcs.get)
+
+    def test_unbuildable_config_is_a_typed_rejection(self, server):
+        # 100 entries do not divide into the L2 TLB's 16 ways.
+        response = server.query(metrics_query(l2_tlb_entries=100))
+        assert response.status == STATUS_REJECTED
+        assert "not divisible" in response.detail
 
     def test_rejected_before_start_and_while_draining(self, tmp_path):
         srv = make_server(tmp_path / "c")
@@ -153,6 +167,27 @@ class TestHTTP:
             client._request("/nope")
         assert "404" in str(err.value)
 
+    def test_keep_alive_answers_do_not_stall(self, http):
+        # Headers and body go out in two sends; without TCP_NODELAY,
+        # Nagle waits on the client's delayed ACK (~40 ms per answer).
+        assert ServeClient(http).query(metrics_query()).status \
+            == STATUS_SIMULATED
+        host, port = http.rsplit("/", 1)[-1].split(":")
+        conn = HTTPConnection(host, int(port), timeout=30)
+        body = json.dumps(metrics_query().to_dict())
+        latencies = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("POST", "/query", body=body,
+                             headers={"Content-Type": "application/json"})
+                reply = json.loads(conn.getresponse().read())
+                latencies.append(time.perf_counter() - start)
+                assert reply["status"] == STATUS_EXACT
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.020, latencies
+
     def test_client_unreachable_server(self):
         client = ServeClient("http://127.0.0.1:9", timeout_s=0.5)
         with pytest.raises(ServeUnavailable):
@@ -177,3 +212,92 @@ class TestCoalescing:
         # At most one simulation ran: everything else coalesced or hit
         # the cache that simulation populated.
         assert server.cache.stores == 1
+
+
+def cache_files(root):
+    """``(st_ino, st_mtime_ns, st_size)`` of every file under ``root``."""
+    return {path: (st.st_ino, st.st_mtime_ns, st.st_size)
+            for path in root.rglob("*") if path.is_file()
+            for st in [path.stat()]}
+
+
+def campaign_job(names, policy):
+    """The job a campaign would run for this component, built without
+    the server, so a hit proves both address the same cache entry."""
+    return Job(label=f"campaign:{'.'.join(names)}/{policy}",
+               names=tuple(names),
+               config=GpuConfig.baseline().with_policy(policy),
+               scale=SCALE, warps_per_sm=2, max_events=MAX_EVENTS)
+
+
+class TestJobMemo:
+    def test_memo_is_bounded_and_exact_under_threads(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(server_module, "JOB_MEMO_MAX", 8)
+        srv = make_server(tmp_path / "cache")
+        queries = [metrics_query(l2_tlb_entries=16 * (i + 1))
+                   for i in range(24)]
+        sizes, errors = [], []
+
+        def hammer(offset):
+            try:
+                for i in range(200):
+                    query = queries[(offset + i) % len(queries)]
+                    job, key = srv._job_and_key(query, "dws")
+                    assert key == job_key(job)
+                    assert job.config.l2_tlb.entries == query.l2_tlb_entries
+                    sizes.append(len(srv._jobs))
+            except AssertionError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(k * 5,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        assert max(sizes) <= 8
+
+    def test_memoized_job_matches_a_campaign_job(self, server):
+        job, key = server._job_and_key(metrics_query(), "dws")
+        assert server._job_for(metrics_query(), "dws") is job
+        assert key == job_key(campaign_job(("GUPS",), "dws"))
+
+
+class TestExactTierWritesNothing:
+    BEST = dict(kind="best_policy", candidates=("baseline", "dws"))
+
+    def test_repeated_exact_answers_touch_no_file(self, server):
+        run_jobs([campaign_job(("GUPS",), p) for p in ("baseline", "dws")],
+                 workers=1, cache=server.cache)
+        queries = [metrics_query(), metrics_query(**self.BEST)]
+        for query in queries:  # first hits record the index entries
+            assert server.query(query).status == STATUS_EXACT
+        root = server.cache.root
+        before = cache_files(root)
+        assert root / INDEX_FILE in before
+        for i in range(50):
+            assert server.query(queries[i % 2]).status == STATUS_EXACT
+        assert cache_files(root) == before
+        assert server.tier_counters()[STATUS_EXACT] == 52
+
+    def test_campaign_warmed_entry_is_indexed_on_first_hit(self, server):
+        run_jobs([campaign_job(("GUPS",), "baseline")], workers=1,
+                 cache=server.cache)
+        assert len(ServeIndex(server.cache.root)) == 0
+        exact = server.query(metrics_query())
+        assert exact.status == STATUS_EXACT
+        # Persisted, and the estimate tier can now answer a neighbor.
+        reloaded = ServeIndex(server.cache.root)
+        assert len(reloaded) == 1
+        estimate = reloaded.estimate(("HS",), "baseline")
+        assert estimate is not None
+        assert estimate["basis"][0]["key"] == "GUPS|baseline|tlbbase|ptwbase"
+        assert estimate["total_ipc"] == exact.payload["total_ipc"]
