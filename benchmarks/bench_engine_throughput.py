@@ -309,7 +309,7 @@ def measure_shard_curve(pcfg, repeats, shard_counts=SHARD_COUNTS,
       (and only when) the recording host was parallel-capable.
     """
     pair, scale, sms, warps = pcfg
-    from repro.engine.parallel_sim import BACKEND_ENV
+    from repro.engine.config import BACKEND_ENV
 
     def run_k(k, backend=None):
         if backend is not None:

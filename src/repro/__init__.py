@@ -29,25 +29,25 @@ Quickstart::
     print(total_ipc(result))
 """
 
-from repro.core.dwspp import DwsPlusParams
-from repro.engine.config import GpuConfig, PolicySpec
-from repro.harness.runner import Session
-from repro.tenancy.manager import MultiTenantManager, RunResult
-from repro.tenancy.tenant import Tenant
-from repro.workloads.pairs import WORKLOAD_PAIRS
-from repro.workloads.suite import benchmark
+from repro._lazy import lazy_exports as _lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DwsPlusParams",
-    "GpuConfig",
-    "MultiTenantManager",
-    "PolicySpec",
-    "RunResult",
-    "Session",
-    "Tenant",
-    "WORKLOAD_PAIRS",
-    "benchmark",
-    "__version__",
-]
+#: Public name -> defining module, imported on first attribute access so
+#: ``import repro`` (and every ``repro.*`` import under it) loads only
+#: the layers the caller actually uses.
+_EXPORTS = {
+    "DwsPlusParams": "repro.core.dwspp",
+    "GpuConfig": "repro.engine.config",
+    "MultiTenantManager": "repro.tenancy.manager",
+    "PolicySpec": "repro.engine.config",
+    "RunResult": "repro.tenancy.manager",
+    "Session": "repro.harness.runner",
+    "Tenant": "repro.tenancy.tenant",
+    "WORKLOAD_PAIRS": "repro.workloads.pairs",
+    "benchmark": "repro.workloads.suite",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -38,7 +38,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.engine.config import GpuConfig
+from repro.engine.config import BACKEND_ENV, SHARDS_ENV, GpuConfig
 from repro.engine.simulator import SimulationError
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.reporting import format_table
@@ -51,7 +51,6 @@ from repro.metrics import (
     walk_latency_of,
     weighted_ipc,
 )
-from repro.workloads.characterize import characterize
 from repro.workloads.pairs import WORKLOAD_PAIRS, pair_class, split_pair
 from repro.workloads.suite import BENCHMARKS, benchmark
 
@@ -142,8 +141,6 @@ def _install_shards(args):
     contract as :func:`_install_integrity`).
     """
     import os
-
-    from repro.engine.parallel_sim import BACKEND_ENV, SHARDS_ENV
 
     previous = (os.environ.get(SHARDS_ENV), os.environ.get(BACKEND_ENV))
     if getattr(args, "shards", None) is not None:
@@ -310,6 +307,8 @@ def cmd_list(_args) -> int:
 
 
 def cmd_characterize(args) -> int:
+    from repro.workloads.characterize import characterize
+
     names = args.benchmarks or list(BENCHMARKS)
     print(f"{'bench':<6} {'band':<4} {'MPMI':>10} {'cold MPMI':>10} {'IPC':>8}")
     for name in names:
@@ -563,7 +562,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             else:
                 os.environ[INTEGRITY_ENV] = previous
         if hasattr(args, "shards"):
-            from repro.engine.parallel_sim import BACKEND_ENV, SHARDS_ENV
             for env, value in zip((SHARDS_ENV, BACKEND_ENV),
                                   previous_shards):
                 if value is None:

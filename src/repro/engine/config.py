@@ -14,6 +14,7 @@ sweepable here.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -267,3 +268,29 @@ def config_from_dict(data: Dict[str, Any]) -> GpuConfig:
         policy=policy,
         **scalars,
     )
+
+
+#: Environment variable carrying the requested shard count.  The CLI's
+#: ``--shards`` flag publishes through it so campaign worker processes
+#: inherit the setting.  It lives here, beside the machine description,
+#: so the serial path reads it without importing the shard engine.
+SHARDS_ENV = "REPRO_SHARDS"
+
+#: Environment variable selecting the shard execution backend
+#: (:mod:`repro.engine.parallel_sim`).  The CLI's ``--shard-backend``
+#: flag publishes through it so campaign worker processes inherit it.
+BACKEND_ENV = "REPRO_SHARD_BACKEND"
+
+
+def shards_from_env(default: int = 1) -> int:
+    """The requested shard count: ``REPRO_SHARDS`` or ``default``."""
+    raw = os.environ.get(SHARDS_ENV)
+    if raw is None or raw == "":
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"REPRO_SHARDS must be an integer, got {raw!r}")
+    if value < 1:
+        raise ValueError(f"REPRO_SHARDS must be >= 1, got {value}")
+    return value

@@ -52,6 +52,7 @@ from heapq import heappop
 from time import perf_counter_ns
 from typing import Any, Dict, List, Optional
 
+from repro.engine.config import BACKEND_ENV
 from repro.engine.shard import (ENSURE, LOOKUP, NOC, WARP_DONE,
                                 CountingStream, Ctx, KeyedQueue, OrderKey,
                                 Shard, ShardGpuPort, ShardNocPort,
@@ -65,17 +66,7 @@ from repro.engine.simulator import SimulationError, Simulator
 #: span only caps how far a fully decoupled shard may run ahead.
 DEFAULT_WINDOW = 4096
 
-#: Environment variable carrying the requested shard count.  The CLI's
-#: ``--shards`` flag publishes through it so campaign worker processes
-#: inherit the setting.
-SHARDS_ENV = "REPRO_SHARDS"
-
 _BACKENDS = ("inline", "threads", "processes")
-
-#: Environment variable selecting the shard execution backend.  The
-#: CLI's ``--shard-backend`` flag publishes through it so campaign
-#: worker processes inherit the setting.
-BACKEND_ENV = "REPRO_SHARD_BACKEND"
 
 
 def _recording_add_warp(orig, shard_streams: List[CountingStream]):
@@ -84,20 +75,6 @@ def _recording_add_warp(orig, shard_streams: List[CountingStream]):
         _list.append(warp._stream)
         _orig(warp)
     return add_warp
-
-
-def shards_from_env(default: int = 1) -> int:
-    """The requested shard count: ``REPRO_SHARDS`` or ``default``."""
-    raw = os.environ.get(SHARDS_ENV)
-    if raw is None or raw == "":
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"REPRO_SHARDS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"REPRO_SHARDS must be >= 1, got {value}")
-    return value
 
 
 class ParallelSimulator(Simulator):

@@ -14,104 +14,59 @@ configurations (e.g. Figures 5, 6 and 7 all need Baseline/DWS/DWS++
 runs) reuse each other's work.
 """
 
-from repro.harness.campaign import (
-    CampaignManifest,
-    CampaignPlan,
-    CampaignReport,
-    PlanningSession,
-    campaign_key,
-    plan_campaign,
-    run_campaign,
-)
-from repro.harness.faults import FaultSpec, clear_faults, install_faults
-from repro.harness.fsutil import (
-    atomic_write_bytes,
-    atomic_write_json,
-    atomic_write_text,
-)
-from repro.harness.parallel import (
-    Job,
-    WorkerPool,
-    pair_jobs,
-    run_jobs,
-    run_jobs_chunked,
-)
-from repro.harness.supervision import (
-    CampaignExecutionError,
-    RetryPolicy,
-    SupervisionPolicy,
-    SupervisionStats,
-)
-from repro.harness.report import generate_report
-from repro.harness.resources import (
-    HostPressureMonitor,
-    PressurePolicy,
-    ResourceBudgetExceeded,
-    RssSampler,
-)
-from repro.harness.result_cache import (
-    CACHE_FORMAT,
-    ResultCache,
-    cost_key,
-    job_key,
-)
-from repro.harness.results_io import export_results, load_results
-from repro.harness.reporting import (
-    ExperimentResult,
-    format_bars,
-    format_table,
-    format_wall_summary,
-    geomean,
-)
-from repro.harness.runner import Session, StandaloneMeasurement
-from repro.harness.seeds import compare_policies, seed_study
-from repro.harness.sweep import Sweep, axis
-from repro.harness.validate import validate_result
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "CACHE_FORMAT",
-    "CampaignExecutionError",
-    "CampaignManifest",
-    "CampaignPlan",
-    "CampaignReport",
-    "ExperimentResult",
-    "FaultSpec",
-    "HostPressureMonitor",
-    "Job",
-    "PlanningSession",
-    "PressurePolicy",
-    "ResourceBudgetExceeded",
-    "ResultCache",
-    "RetryPolicy",
-    "RssSampler",
-    "Session",
-    "StandaloneMeasurement",
-    "SupervisionPolicy",
-    "SupervisionStats",
-    "Sweep",
-    "WorkerPool",
-    "atomic_write_bytes",
-    "atomic_write_json",
-    "atomic_write_text",
-    "axis",
-    "campaign_key",
-    "clear_faults",
-    "compare_policies",
-    "cost_key",
-    "export_results",
-    "format_bars",
-    "format_table",
-    "format_wall_summary",
-    "generate_report",
-    "geomean",
-    "install_faults",
-    "job_key",
-    "load_results",
-    "pair_jobs",
-    "plan_campaign",
-    "run_campaign",
-    "run_jobs",
-    "run_jobs_chunked",
-    "seed_study",
-    "validate_result",
-]
+#: Public name -> defining module, imported on first attribute access:
+#: a co-run that only needs :class:`Session` never loads the campaign
+#: planner, the supervised process pool or fault injection.
+_EXPORTS = {
+    "CACHE_FORMAT": "repro.harness.result_cache",
+    "CampaignExecutionError": "repro.harness.supervision",
+    "CampaignManifest": "repro.harness.campaign",
+    "CampaignPlan": "repro.harness.campaign",
+    "CampaignReport": "repro.harness.campaign",
+    "ExperimentResult": "repro.harness.reporting",
+    "FaultSpec": "repro.harness.faults",
+    "HostPressureMonitor": "repro.harness.resources",
+    "Job": "repro.harness.parallel",
+    "PlanningSession": "repro.harness.campaign",
+    "PressurePolicy": "repro.harness.resources",
+    "ResourceBudgetExceeded": "repro.harness.resources",
+    "ResultCache": "repro.harness.result_cache",
+    "RetryPolicy": "repro.harness.supervision",
+    "RssSampler": "repro.harness.resources",
+    "Session": "repro.harness.runner",
+    "StandaloneMeasurement": "repro.harness.runner",
+    "SupervisionPolicy": "repro.harness.supervision",
+    "SupervisionStats": "repro.harness.supervision",
+    "Sweep": "repro.harness.sweep",
+    "WorkerPool": "repro.harness.parallel",
+    "atomic_write_bytes": "repro.harness.fsutil",
+    "atomic_write_json": "repro.harness.fsutil",
+    "atomic_write_text": "repro.harness.fsutil",
+    "axis": "repro.harness.sweep",
+    "campaign_key": "repro.harness.campaign",
+    "clear_faults": "repro.harness.faults",
+    "compare_policies": "repro.harness.seeds",
+    "cost_key": "repro.harness.result_cache",
+    "export_results": "repro.harness.results_io",
+    "format_bars": "repro.harness.reporting",
+    "format_table": "repro.harness.reporting",
+    "format_wall_summary": "repro.harness.reporting",
+    "generate_report": "repro.harness.report",
+    "geomean": "repro.harness.reporting",
+    "install_faults": "repro.harness.faults",
+    "job_key": "repro.harness.result_cache",
+    "load_results": "repro.harness.results_io",
+    "pair_jobs": "repro.harness.parallel",
+    "plan_campaign": "repro.harness.campaign",
+    "run_campaign": "repro.harness.campaign",
+    "run_jobs": "repro.harness.parallel",
+    "run_jobs_chunked": "repro.harness.parallel",
+    "seed_study": "repro.harness.seeds",
+    "validate_result": "repro.harness.validate",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -57,8 +57,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.config import GpuConfig
-from repro.engine.parallel_sim import shards_from_env
+from repro.engine.config import GpuConfig, shards_from_env
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.fsutil import atomic_write_json
 from repro.harness.parallel import Job, WorkerPool, run_jobs

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as wait_ready
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.config import GpuConfig
+from repro.engine.config import SHARDS_ENV, GpuConfig
 from repro.harness import faults, resources
 from repro.harness.resources import ResourceBudgetExceeded, RssSampler
 from repro.harness.result_cache import ResultCache, cost_key, job_key
@@ -79,6 +79,7 @@ from repro.harness.supervision import (
     SupervisionStats,
 )
 from repro.harness.validate import ResultValidationError, validate_result
+from repro.integrity.config import INTEGRITY_ENV
 from repro.tenancy.manager import MultiTenantManager, RunResult
 from repro.tenancy.tenant import Tenant
 from repro.workloads.base import MemoizedWorkload, TraceMemo
@@ -317,7 +318,22 @@ def _reset_worker_signals() -> None:
     signal.signal(signal.SIGINT, signal.SIG_DFL)
 
 
+def _load_worker_modules() -> None:
+    """Import what forked workers will run, before they fork.
+
+    Workers inherit the environment: with ``REPRO_SHARDS`` set a job may
+    build the shard engine, with ``REPRO_INTEGRITY`` set it attaches the
+    integrity harness (and its forensics).  Loading them in the parent
+    means no job pays the import; without either variable neither loads.
+    """
+    if os.environ.get(SHARDS_ENV):
+        import repro.engine.parallel_sim  # noqa: F401
+    if os.environ.get(INTEGRITY_ENV):
+        import repro.integrity.harness  # noqa: F401
+
+
 def _new_executor(workers: int) -> ProcessPoolExecutor:
+    _load_worker_modules()
     return ProcessPoolExecutor(max_workers=workers,
                                initializer=_reset_worker_signals)
 

@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.engine.config import GpuConfig, config_key
-from repro.harness.parallel import Job
-from repro.harness.result_cache import ResultCache, cost_key, job_key
 from repro.tenancy.manager import MultiTenantManager, RunResult
 from repro.tenancy.tenant import Tenant
 from repro.workloads.base import Workload
 from repro.workloads.pairs import split_pair
 from repro.workloads.suite import benchmark
+
+if TYPE_CHECKING:
+    from repro.harness.parallel import Job
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,13 @@ class Session:
         #: on-disk result cache; None keeps the session memory-only.
         #: ``cache_max_bytes`` puts it under a byte quota with
         #: LRU-by-access evict-before-store (see result_cache.py).
-        self.disk_cache = (ResultCache(cache_dir, max_bytes=cache_max_bytes)
-                           if cache_dir else None)
+        self.disk_cache = None
+        if cache_dir:
+            # Imported only when a session persists: a memory-only
+            # co-run never loads the cache or its fault hooks.
+            from repro.harness.result_cache import ResultCache
+            self.disk_cache = ResultCache(cache_dir,
+                                          max_bytes=cache_max_bytes)
         #: simulations actually executed (disk/memory cache hits excluded)
         self.simulations_executed = 0
         self._run_cache: Dict[Tuple, RunResult] = {}
@@ -78,6 +84,8 @@ class Session:
         The campaign planner uses this so planned jobs hash to exactly
         the cache keys the session itself would look up.
         """
+        from repro.harness.parallel import Job
+
         return Job(
             label="/".join(names), names=tuple(names), config=config,
             scale=self.scale, warps_per_sm=self.warps_per_sm,
@@ -111,6 +119,7 @@ class Session:
         disk_key = None
         job = None
         if self.disk_cache is not None:
+            from repro.harness.result_cache import cost_key, job_key
             job = self.job_for(names, config)
             disk_key = job_key(job)
             cached = self.disk_cache.get(disk_key)

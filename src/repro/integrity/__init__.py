@@ -20,37 +20,35 @@ explicitly to ``MultiTenantManager`` or installed ambiently via the
 workers inherit it.
 """
 
-from repro.integrity.auditor import Auditor, build_auditor
-from repro.integrity.config import (AUDIT_CHEAP, AUDIT_FULL, AUDIT_LEVELS,
-                                    AUDIT_OFF, INTEGRITY_ENV, IntegrityConfig,
-                                    active_config, clear_install, install)
-from repro.integrity.errors import InvariantViolation, ProgressStall
-from repro.integrity.forensics import (BUNDLE_FORMAT, ReplayOutcome,
-                                       capture_job_failure, load_bundle,
-                                       replay_bundle, write_bundle)
-from repro.integrity.harness import IntegrityHarness
-from repro.integrity.watchdog import ProgressWatchdog
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "AUDIT_CHEAP",
-    "AUDIT_FULL",
-    "AUDIT_LEVELS",
-    "AUDIT_OFF",
-    "Auditor",
-    "BUNDLE_FORMAT",
-    "INTEGRITY_ENV",
-    "IntegrityConfig",
-    "IntegrityHarness",
-    "InvariantViolation",
-    "ProgressStall",
-    "ProgressWatchdog",
-    "ReplayOutcome",
-    "active_config",
-    "build_auditor",
-    "capture_job_failure",
-    "clear_install",
-    "install",
-    "load_bundle",
-    "replay_bundle",
-    "write_bundle",
-]
+#: Public name -> defining module, imported on first attribute access:
+#: the simulator reads :func:`active_config` on every run, but the
+#: auditor, watchdog and forensics load only when integrity is enabled.
+_EXPORTS = {
+    "AUDIT_CHEAP": "repro.integrity.config",
+    "AUDIT_FULL": "repro.integrity.config",
+    "AUDIT_LEVELS": "repro.integrity.config",
+    "AUDIT_OFF": "repro.integrity.config",
+    "Auditor": "repro.integrity.auditor",
+    "BUNDLE_FORMAT": "repro.integrity.forensics",
+    "INTEGRITY_ENV": "repro.integrity.config",
+    "IntegrityConfig": "repro.integrity.config",
+    "IntegrityHarness": "repro.integrity.harness",
+    "InvariantViolation": "repro.integrity.errors",
+    "ProgressStall": "repro.integrity.errors",
+    "ProgressWatchdog": "repro.integrity.watchdog",
+    "ReplayOutcome": "repro.integrity.forensics",
+    "active_config": "repro.integrity.config",
+    "build_auditor": "repro.integrity.auditor",
+    "capture_job_failure": "repro.integrity.forensics",
+    "clear_install": "repro.integrity.config",
+    "install": "repro.integrity.config",
+    "load_bundle": "repro.integrity.forensics",
+    "replay_bundle": "repro.integrity.forensics",
+    "write_bundle": "repro.integrity.forensics",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

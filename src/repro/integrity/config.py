@@ -19,7 +19,6 @@ launching and attaches nothing.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -87,6 +86,8 @@ def install(config: IntegrityConfig) -> None:
     Like :func:`repro.harness.faults.install_faults`: call before the
     worker pool spawns, since workers snapshot the environment.
     """
+    import json
+
     os.environ[INTEGRITY_ENV] = json.dumps(asdict(config))
 
 
@@ -100,6 +101,10 @@ def active_config() -> Optional[IntegrityConfig]:
     raw = os.environ.get(INTEGRITY_ENV)
     if not raw:
         return None
+    # json loads only when a config is installed: the default run
+    # pays one environment lookup and nothing else.
+    import json
+
     try:
         return IntegrityConfig(**json.loads(raw))
     except (ValueError, TypeError):

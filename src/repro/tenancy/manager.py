@@ -20,8 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.engine.config import GpuConfig
-from repro.engine.parallel_sim import ParallelSimulator, shards_from_env
+from repro.engine.config import GpuConfig, shards_from_env
 from repro.engine.rng import DeterministicRng
 from repro.engine.simulator import EventBudgetExceeded, Simulator
 from repro.gpu.gpu import Gpu
@@ -135,6 +134,9 @@ class MultiTenantManager:
         requested = shards if shards is not None else shards_from_env(1)
         self.shards = max(1, min(requested, config.sm.num_sms))
         if self.shards > 1:
+            # The shard engine loads only when asked for: the serial
+            # path never imports it.
+            from repro.engine.parallel_sim import ParallelSimulator
             self.sim: Simulator = ParallelSimulator(self.shards)
         else:
             self.sim = Simulator()

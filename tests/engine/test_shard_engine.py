@@ -11,12 +11,8 @@ import os
 
 import pytest
 
-from repro.engine.parallel_sim import (
-    DEFAULT_WINDOW,
-    ParallelSimulator,
-    SHARDS_ENV,
-    shards_from_env,
-)
+from repro.engine.config import SHARDS_ENV, shards_from_env
+from repro.engine.parallel_sim import DEFAULT_WINDOW, ParallelSimulator
 from repro.engine.shard import Ctx, CountingStream, KeyedQueue, OrderKey
 
 

@@ -15,8 +15,7 @@ import signal
 import pytest
 
 from repro.engine import shard_ipc
-from repro.engine.config import GpuConfig
-from repro.engine.parallel_sim import BACKEND_ENV
+from repro.engine.config import BACKEND_ENV, GpuConfig
 from repro.engine.shard import ENSURE, LOOKUP, NOC, OrderKey, WARP_DONE
 from repro.engine.shard_ipc import (
     Channel,

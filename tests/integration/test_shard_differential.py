@@ -20,8 +20,8 @@ import os
 
 import pytest
 
-from repro.engine.config import GpuConfig
-from repro.engine.parallel_sim import ParallelSimulator, SHARDS_ENV
+from repro.engine.config import SHARDS_ENV, GpuConfig
+from repro.engine.parallel_sim import ParallelSimulator
 from repro.engine.simulator import Simulator
 from repro.integrity import IntegrityConfig
 from repro.tenancy.manager import MultiTenantManager
